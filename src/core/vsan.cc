@@ -7,15 +7,10 @@
 
 #include "autograd/ops.h"
 #include "data/batcher.h"
-#include "models/epoch_report.h"
-#include "models/train_runtime.h"
+#include "models/train_loop.h"
 #include "nn/serialize.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "optim/adam.h"
-#include "optim/lr_schedule.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace vsan {
@@ -203,205 +198,63 @@ void Vsan::Fit(const data::SequenceDataset& train, const TrainOptions& opts) {
   hooks.model_name = "vsan";
   models::TrainRuntime runtime(opts, std::move(hooks));
 
-  // Same live-metrics set as the shared loop (models/train_loop.h), so a
-  // /metrics scrape reads identically whichever model is training.
-  obs::Counter* step_counter =
-      obs::MetricsRegistry::Global().GetCounter("train.steps");
-  obs::Histogram* loss_hist = obs::MetricsRegistry::Global().GetHistogram(
-      "train.batch_loss", obs::ExponentialBuckets(1e-3, 2.0, 24));
-  obs::SlidingWindowHistogram* step_ms_hist =
-      obs::MetricsRegistry::Global().GetSlidingHistogram(
-          "train.step_ms", obs::ExponentialBuckets(0.1, 2.0, 20));
+  models::RunTrainLoop(
+      &batcher, &optimizer, opts, &runtime,
+      [this](const data::TrainBatch& batch, int64_t sched_step) {
+        Net::Outputs out =
+            net_->Forward(batch.inputs, batch.batch_size, &rng_);
+        Variable flat_hidden = ops::Reshape(
+            out.hidden, {batch.batch_size * batch.seq_len, config_.d});
 
-  int64_t step = 0;
-  int32_t epoch = 0;
-  if (!runtime.Begin(&step, &epoch)) return;
-  while (epoch < opts.epochs) {
-    VSAN_TRACE_SPAN("train/epoch", kTrain);
-    Stopwatch epoch_timer;
-    batcher.NewEpoch();
-    double loss_sum = 0.0;
-    double recon_sum = 0.0;
-    double kl_sum = 0.0;
-    double grad_norm_sum = 0.0;
-    float last_beta = config_.use_latent
-                          ? (config_.fixed_beta >= 0.0f ? config_.fixed_beta
-                                                        : 0.0f)
-                          : 0.0f;
-    float last_lr = optimizer.learning_rate();
-    int64_t batches = 0;
-    bool rolled_back = false;
-    bool stop = false;
-    data::TrainBatch batch;
-    while (batcher.NextBatch(&batch)) {
-      VSAN_TRACE_SPAN("train/step", kTrain);
-      Stopwatch step_timer;
-      if (runtime.PreStep(step + 1)) return;  // simulated kill
-      if (opts.lr_schedule != nullptr) {
-        optimizer.set_learning_rate(opts.lr_schedule->LearningRate(step));
-      }
-      last_lr = optimizer.learning_rate();
-      // Schedules (lr above, beta anneal below) key off the pre-increment
-      // step so a resumed run reproduces the same curves.
-      const int64_t sched_step = step;
-      ++step;
-#if VSAN_OBS_ENABLED
-      // The forward pass spans several statements, so it is timed with an
-      // explicit RecordSpan instead of a scoped one.
-      obs::Tracer& tracer = obs::Tracer::Global();
-      const int64_t fwd_start = tracer.enabled() ? tracer.NowNs() : -1;
-#endif
-      Net::Outputs out = net_->Forward(batch.inputs, batch.batch_size, &rng_);
-      Variable flat_hidden = ops::Reshape(
-          out.hidden, {batch.batch_size * batch.seq_len, config_.d});
-
-      // Project and score only the positions that carry a target (left
-      // padding makes most positions empty on sparse corpora).
-      std::vector<int64_t> rows;
-      std::vector<int32_t> targets;
-      std::vector<std::vector<int32_t>> multi_targets;
-      for (int64_t r = 0; r < batch.batch_size * batch.seq_len; ++r) {
-        if (batch.next_targets[r] == -1) continue;
-        rows.push_back(r);
-        if (config_.next_k > 1) {
-          multi_targets.push_back(batch.nextk_targets[r]);
-        } else {
-          targets.push_back(batch.next_targets[r]);
+        // Project and score only the positions that carry a target (left
+        // padding makes most positions empty on sparse corpora).
+        std::vector<int64_t> rows;
+        std::vector<int32_t> targets;
+        std::vector<std::vector<int32_t>> multi_targets;
+        for (int64_t r = 0; r < batch.batch_size * batch.seq_len; ++r) {
+          if (batch.next_targets[r] == -1) continue;
+          rows.push_back(r);
+          if (config_.next_k > 1) {
+            multi_targets.push_back(batch.nextk_targets[r]);
+          } else {
+            targets.push_back(batch.next_targets[r]);
+          }
         }
-      }
-      Variable logits = net_->Predict(ops::GatherRows(flat_hidden, rows));
+        Variable logits = net_->Predict(ops::GatherRows(flat_hidden, rows));
 
-      // Reconstruction term of Eq. 20: next-item (k=1) or next-k multi-hot.
-      Variable recon =
-          (config_.next_k > 1)
-              ? ops::MultiLabelSoftmaxCrossEntropy(logits, multi_targets)
-              : ops::SoftmaxCrossEntropy(logits, targets,
-                                         /*ignore_index=*/-1);
-
-      Variable loss = recon;
-      double kl_value = 0.0;
-      if (config_.use_latent) {
-        // beta * KL term of Eq. 20, with KL annealing.
+        // Reconstruction term of Eq. 20: next-item (k=1) or next-k
+        // multi-hot.
+        Variable recon =
+            (config_.next_k > 1)
+                ? ops::MultiLabelSoftmaxCrossEntropy(logits, multi_targets)
+                : ops::SoftmaxCrossEntropy(logits, targets,
+                                           /*ignore_index=*/-1);
+        if (!config_.use_latent) {
+          models::StepLoss step(recon);
+          step.terms.push_back({"recon", recon.value()[0]});
+          return step;
+        }
+        // beta * KL term of Eq. 20, with KL annealing keyed off the
+        // pre-increment step so a resumed run reproduces the same curve.
         Variable kl =
             ops::KlStandardNormal(out.mu, out.logvar, batch.position_mask);
         float beta = config_.fixed_beta;
         if (beta < 0.0f) {
           beta = config_.anneal_steps > 0
                      ? config_.beta_max *
-                           std::min(
-                               1.0f,
-                               static_cast<float>(sched_step) /
-                                   static_cast<float>(config_.anneal_steps))
+                           std::min(1.0f,
+                                    static_cast<float>(sched_step) /
+                                        static_cast<float>(
+                                            config_.anneal_steps))
                      : config_.beta_max;
         }
-        last_beta = beta;
-        kl_value = kl.value()[0];
-        loss = ops::Add(recon, ops::Scale(kl, beta));
-      }
-#if VSAN_OBS_ENABLED
-      if (fwd_start >= 0) {
-        tracer.RecordSpan("train/forward", obs::SpanCategory::kTrain,
-                          fwd_start, tracer.NowNs() - fwd_start);
-      }
-#endif
-
-      float loss_value = loss.value()[0];
-      models::TrainRuntime::StepAction action =
-          runtime.GuardLoss(&loss_value, step);
-      if (action == models::TrainRuntime::StepAction::kSkip) continue;
-      if (action == models::TrainRuntime::StepAction::kStop) {
-        stop = true;
-        break;
-      }
-      if (action == models::TrainRuntime::StepAction::kRollback) {
-        runtime.Rollback(&step, &epoch);
-        rolled_back = true;
-        break;
-      }
-
-      optimizer.ZeroGrad();
-      {
-        VSAN_TRACE_SPAN("train/backward", kTrain);
-        loss.Backward();
-      }
-      {
-        VSAN_TRACE_SPAN("train/optimizer", kTrain);
-        if (opts.grad_clip_norm > 0.0f) {
-          const double norm = optimizer.ClipGradNorm(opts.grad_clip_norm);
-          action = runtime.GuardGradNorm(norm, step);
-          if (action == models::TrainRuntime::StepAction::kSkip) continue;
-          if (action == models::TrainRuntime::StepAction::kStop) {
-            stop = true;
-            break;
-          }
-          if (action == models::TrainRuntime::StepAction::kRollback) {
-            runtime.Rollback(&step, &epoch);
-            rolled_back = true;
-            break;
-          }
-          grad_norm_sum += norm;
-        }
-        optimizer.Step();
-      }
-      loss_sum += loss_value;
-      recon_sum += recon.value()[0];
-      kl_sum += kl_value;
-      loss_hist->Observe(loss_value);
-      step_ms_hist->Observe(step_timer.ElapsedMillis());
-      step_counter->Increment();
-      ++batches;
-    }
-    if (rolled_back) continue;  // replay from the last checkpoint
-    if (batches > 0) {
-      EpochStats stats;
-      stats.epoch = epoch;
-      stats.loss = loss_sum / batches;
-      stats.wall_ms = epoch_timer.ElapsedMillis();
-      stats.batches = batches;
-      if (opts.grad_clip_norm > 0.0f) {
-        stats.grad_norm = grad_norm_sum / batches;
-      }
-      stats.learning_rate = last_lr;
-      std::vector<std::pair<std::string, double>> extras;
-      extras.emplace_back("recon", recon_sum / batches);
-      if (config_.use_latent) {
-        extras.emplace_back("kl", kl_sum / batches);
-        extras.emplace_back("beta", static_cast<double>(last_beta));
-      }
-      models::ReportEpoch(opts, stats, step, std::move(extras));
-      if (opts.verbose) {
-        VSAN_LOG_INFO << name() << " epoch " << epoch << " loss "
-                      << FormatDouble(stats.loss, 4);
-      }
-    }
-    if (stop) break;
-    runtime.EndEpoch(epoch, step);
-    ++epoch;
-  }
+        models::StepLoss step(ops::Add(recon, ops::Scale(kl, beta)));
+        step.terms.push_back({"recon", recon.value()[0]});
+        step.terms.push_back({"kl", kl.value()[0]});
+        step.terms.push_back({"beta", beta, /*report_last=*/true});
+        return step;
+      });
   net_->SetTraining(false);
-}
-
-std::vector<float> Vsan::Score(const std::vector<int32_t>& fold_in) const {
-  std::vector<float> scores;
-  ScoreInto(fold_in, &scores);
-  return scores;
-}
-
-void Vsan::ScoreInto(const std::vector<int32_t>& fold_in,
-                    std::vector<float>* scores) const {
-  VSAN_CHECK(net_ != nullptr) << "Fit() must be called before Score()";
-  ScopedMatMulPrecision precision_guard(eval_precision());
-  const std::vector<int32_t> padded =
-      data::SequenceBatcher::PadSequence(fold_in, config_.max_len);
-  Net::Outputs out = net_->Forward(padded, /*batch=*/1, &rng_);
-  Variable last = ops::Reshape(
-      ops::Slice(out.hidden, /*axis=*/1, config_.max_len - 1, /*len=*/1),
-      {1, config_.d});
-  Variable logits = net_->Predict(last);
-  const Tensor& v = logits.value();
-  scores->resize(num_items_ + 1);
-  const float* src = v.data();
-  std::copy(src, src + num_items_ + 1, scores->data());
 }
 
 bool Vsan::GetFactorizedHead(FactorizedHead* head) const {
@@ -424,18 +277,7 @@ bool Vsan::GetFactorizedHead(FactorizedHead* head) const {
 
 bool Vsan::EncodeQueryInto(const std::vector<int32_t>& fold_in,
                            std::vector<float>* query) const {
-  VSAN_CHECK(net_ != nullptr) << "Fit() must be called before EncodeQueryInto()";
-  ScopedMatMulPrecision precision_guard(eval_precision());
-  const std::vector<int32_t> padded =
-      data::SequenceBatcher::PadSequence(fold_in, config_.max_len);
-  Net::Outputs out = net_->Forward(padded, /*batch=*/1, &rng_);
-  Variable last = ops::Reshape(
-      ops::Slice(out.hidden, /*axis=*/1, config_.max_len - 1, /*len=*/1),
-      {1, config_.d});
-  query->resize(static_cast<size_t>(config_.d));
-  const float* src = last.value().data();
-  std::copy(src, src + config_.d, query->data());
-  return true;
+  return EncodeBatchInto({fold_in}, query);
 }
 
 bool Vsan::EncodeBatchInto(const std::vector<std::vector<int32_t>>& fold_ins,

@@ -80,20 +80,18 @@ class Vsan : public SequentialRecommender {
   void Fit(const data::SequenceDataset& train,
            const TrainOptions& options) override;
 
-  std::vector<float> Score(const std::vector<int32_t>& fold_in) const override;
-  void ScoreInto(const std::vector<int32_t>& fold_in,
-                 std::vector<float>* scores) const override;
-
-  // Fast-retrieval seam.  Tied mode factorizes as (item_emb row, output
-  // bias); untied mode as (prediction weight column, prediction bias).  The
-  // query is the final position of the generative stack's hidden states —
-  // exactly what Predict() projects in ScoreInto.
+  // Scoring is the base class's factorized path (models/recommender.h).
+  // Tied mode factorizes as (item_emb row, output bias); untied mode as
+  // (prediction weight column, prediction bias).  The query is the final
+  // position of the generative stack's hidden states — what Predict()
+  // projects during training.
   bool GetFactorizedHead(FactorizedHead* head) const override;
+  // A batch of one through EncodeBatchInto.
   bool EncodeQueryInto(const std::vector<int32_t>& fold_in,
                        std::vector<float>* query) const override;
   // True multi-query encode: one Forward over the whole batch (a single
-  // blocked-GEMM cascade over [count * max_len] rows), bitwise-identical
-  // per query to EncodeQueryInto.  The serving daemon's batched hot path.
+  // blocked-GEMM cascade over [count * max_len] rows).  The serving
+  // daemon's batched hot path.
   bool EncodeBatchInto(const std::vector<std::vector<int32_t>>& fold_ins,
                        std::vector<float>* queries) const override;
 

@@ -33,6 +33,8 @@ struct TrainBatch {
 // sequence is shorter than 2 items are skipped (no next-item target).
 class SequenceBatcher {
  public:
+  using Batch = TrainBatch;
+
   struct Options {
     int64_t max_len = 50;    // n, the fixed sequence length
     int64_t batch_size = 128;

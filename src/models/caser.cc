@@ -6,12 +6,9 @@
 
 #include "autograd/ops.h"
 #include "data/batcher.h"
-#include "models/epoch_report.h"
-#include "models/train_runtime.h"
-#include "obs/trace.h"
+#include "models/train_loop.h"
 #include "optim/adam.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace vsan {
 namespace models {
@@ -45,19 +42,74 @@ Variable Caser::Net::Forward(const std::vector<int32_t>& windows,
   return output.Forward(Hidden(windows, batch, rng));
 }
 
+namespace {
+
+struct Instance {
+  int32_t user;
+  int32_t t;
+};
+
+// RunTrainLoop batch source over Caser's training instances: the window of
+// instance (u, t) is the (left-padded) L items before t, its targets the
+// next T items.
+struct InstanceBatcher {
+  struct Batch {
+    int64_t rows = 0;
+    std::vector<int32_t> windows;               // [rows * L]
+    std::vector<std::vector<int32_t>> targets;  // up to T items per row
+  };
+
+  void NewEpoch() {
+    shuffle_rng->Shuffle(&instances);
+    begin = 0;
+  }
+
+  bool NextBatch(Batch* batch) {
+    if (begin >= instances.size()) return false;
+    const int64_t L = window;
+    const int64_t rows =
+        std::min<int64_t>(batch_size, instances.size() - begin);
+    batch->rows = rows;
+    batch->windows.assign(rows * L, data::kPaddingItem);
+    batch->targets.assign(rows, {});
+    for (int64_t r = 0; r < rows; ++r) {
+      const auto [u, t] = instances[begin + r];
+      const auto& seq = train->sequence(u);
+      const int64_t take = std::min<int64_t>(t, L);
+      for (int64_t i = 0; i < take; ++i) {
+        batch->windows[r * L + (L - take) + i] = seq[t - take + i];
+      }
+      for (int32_t j = 0;
+           j < target_k && t + j < static_cast<int32_t>(seq.size()); ++j) {
+        batch->targets[r].push_back(seq[t + j]);
+      }
+    }
+    begin += rows;
+    return true;
+  }
+
+  const data::SequenceDataset* train;
+  int64_t window;
+  int32_t target_k;
+  int64_t batch_size;
+  Rng* shuffle_rng;
+  std::vector<Instance> instances;
+  size_t begin = 0;
+};
+
+}  // namespace
+
 void Caser::Fit(const data::SequenceDataset& train, const TrainOptions& opts) {
   num_items_ = train.num_items();
   rng_ = Rng(opts.seed);
   net_ = std::make_unique<Net>(config_, num_items_, &rng_);
   net_->SetTraining(true);
 
-  // Training instances: one per (user, position t >= 1); the window is the
-  // (left-padded) L items before t, the targets are the next T items.
-  struct Instance {
-    int32_t user;
-    int32_t t;
-  };
-  std::vector<Instance> instances;
+  // Training instances: one per (user, position t >= 1).
+  Rng shuffle_rng(opts.seed + 1);
+  InstanceBatcher batcher{&train, config_.window, config_.target_k,
+                          opts.batch_size, &shuffle_rng, {}};
+  std::vector<Instance>& instances = batcher.instances;
   for (int32_t u = 0; u < train.num_users(); ++u) {
     const auto& seq = train.sequence(u);
     for (int32_t t = 1; t < static_cast<int32_t>(seq.size()); ++t) {
@@ -69,8 +121,6 @@ void Caser::Fit(const data::SequenceDataset& train, const TrainOptions& opts) {
   optim::Adam::Options adam_opts;
   adam_opts.lr = opts.learning_rate;
   optim::Adam optimizer(net_->Parameters(), adam_opts);
-
-  Rng shuffle_rng(opts.seed + 1);
 
   TrainRuntime::Hooks hooks;
   hooks.module = net_.get();
@@ -103,113 +153,14 @@ void Caser::Fit(const data::SequenceDataset& train, const TrainOptions& opts) {
   hooks.model_name = "caser";
   TrainRuntime runtime(opts, std::move(hooks));
 
-  const int64_t L = config_.window;
-  int64_t step = 0;
-  int32_t epoch = 0;
-  if (!runtime.Begin(&step, &epoch)) return;
-  while (epoch < opts.epochs) {
-    VSAN_TRACE_SPAN("train/epoch", kTrain);
-    Stopwatch epoch_timer;
-    shuffle_rng.Shuffle(&instances);
-    double loss_sum = 0.0;
-    double grad_norm_sum = 0.0;
-    int64_t batches = 0;
-    bool rolled_back = false;
-    bool stop = false;
-    for (size_t begin = 0; begin < instances.size();
-         begin += opts.batch_size) {
-      const int64_t rows = std::min<int64_t>(
-          opts.batch_size, instances.size() - begin);
-      std::vector<int32_t> windows(rows * L, data::kPaddingItem);
-      std::vector<std::vector<int32_t>> targets(rows);
-      for (int64_t r = 0; r < rows; ++r) {
-        const auto [u, t] = instances[begin + r];
-        const auto& seq = train.sequence(u);
-        const int64_t take = std::min<int64_t>(t, L);
-        for (int64_t i = 0; i < take; ++i) {
-          windows[r * L + (L - take) + i] = seq[t - take + i];
-        }
-        for (int32_t j = 0;
-             j < config_.target_k &&
-             t + j < static_cast<int32_t>(seq.size());
-             ++j) {
-          targets[r].push_back(seq[t + j]);
-        }
-      }
-      if (runtime.PreStep(step + 1)) return;  // simulated kill
-      ++step;
-      Variable logits = net_->Forward(windows, rows, &rng_);
-      Variable loss = ops::MultiLabelSoftmaxCrossEntropy(logits, targets);
-      float loss_value = loss.value()[0];
-      TrainRuntime::StepAction action = runtime.GuardLoss(&loss_value, step);
-      if (action == TrainRuntime::StepAction::kSkip) continue;
-      if (action == TrainRuntime::StepAction::kStop) {
-        stop = true;
-        break;
-      }
-      if (action == TrainRuntime::StepAction::kRollback) {
-        runtime.Rollback(&step, &epoch);
-        rolled_back = true;
-        break;
-      }
-      optimizer.ZeroGrad();
-      loss.Backward();
-      if (opts.grad_clip_norm > 0.0f) {
-        const double norm = optimizer.ClipGradNorm(opts.grad_clip_norm);
-        action = runtime.GuardGradNorm(norm, step);
-        if (action == TrainRuntime::StepAction::kSkip) continue;
-        if (action == TrainRuntime::StepAction::kStop) {
-          stop = true;
-          break;
-        }
-        if (action == TrainRuntime::StepAction::kRollback) {
-          runtime.Rollback(&step, &epoch);
-          rolled_back = true;
-          break;
-        }
-        grad_norm_sum += norm;
-      }
-      optimizer.Step();
-      loss_sum += loss_value;
-      ++batches;
-    }
-    if (rolled_back) continue;  // replay from the last checkpoint
-    if (batches > 0) {
-      EpochStats stats;
-      stats.epoch = epoch;
-      stats.loss = loss_sum / batches;
-      stats.wall_ms = epoch_timer.ElapsedMillis();
-      stats.batches = batches;
-      if (opts.grad_clip_norm > 0.0f) {
-        stats.grad_norm = grad_norm_sum / batches;
-      }
-      stats.learning_rate = optimizer.learning_rate();
-      ReportEpoch(opts, stats, step);
-    }
-    if (stop) break;
-    runtime.EndEpoch(epoch, step);
-    ++epoch;
-  }
+  RunTrainLoop(&batcher, &optimizer, opts, &runtime,
+               [this](const InstanceBatcher::Batch& batch, int64_t) {
+                 Variable logits =
+                     net_->Forward(batch.windows, batch.rows, &rng_);
+                 return ops::MultiLabelSoftmaxCrossEntropy(logits,
+                                                           batch.targets);
+               });
   net_->SetTraining(false);
-}
-
-std::vector<float> Caser::Score(const std::vector<int32_t>& fold_in) const {
-  std::vector<float> scores;
-  ScoreInto(fold_in, &scores);
-  return scores;
-}
-
-void Caser::ScoreInto(const std::vector<int32_t>& fold_in,
-                     std::vector<float>* scores) const {
-  VSAN_CHECK(net_ != nullptr) << "Fit() must be called before Score()";
-  ScopedMatMulPrecision precision_guard(eval_precision());
-  const std::vector<int32_t> window =
-      data::SequenceBatcher::PadSequence(fold_in, config_.window);
-  Variable logits = net_->Forward(window, /*batch=*/1, &rng_);
-  const Tensor& out = logits.value();
-  scores->resize(num_items_ + 1);
-  const float* src = out.data();
-  std::copy(src, src + num_items_ + 1, scores->data());
 }
 
 bool Caser::GetFactorizedHead(FactorizedHead* head) const {

@@ -42,16 +42,16 @@ class Caser : public SequentialRecommender {
   void Fit(const data::SequenceDataset& train,
            const TrainOptions& options) override;
 
-  std::vector<float> Score(const std::vector<int32_t>& fold_in) const override;
-  void ScoreInto(const std::vector<int32_t>& fold_in,
-                 std::vector<float>* scores) const override;
-
-  // Fast-retrieval seam: the output Linear's [d, V+1] weight columns are
-  // the item vectors; the query is the convolutional feature vector after
-  // the fc layer (Net::Hidden).
+  // Scoring is the base class's factorized path: the output Linear's
+  // [d, V+1] weight columns are the item vectors; the query is the
+  // convolutional feature vector after the fc layer (Net::Hidden).
   bool GetFactorizedHead(FactorizedHead* head) const override;
   bool EncodeQueryInto(const std::vector<int32_t>& fold_in,
                        std::vector<float>* query) const override;
+
+  // Trained network (null before Fit); exposed for checkpoint tests that
+  // compare parameters bitwise across resumed runs.
+  const nn::Module* module() const { return net_.get(); }
 
  private:
   struct Net : public nn::Module {

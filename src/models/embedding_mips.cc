@@ -1,9 +1,7 @@
 #include "models/embedding_mips.h"
 
-#include <algorithm>
 #include <cmath>
 
-#include "tensor/gemm.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -44,29 +42,6 @@ void EmbeddingMips::FitCatalog(int32_t num_items) {
         bias_[r] = static_cast<float>(rng.Uniform(-0.01, 0.01));
       }
     });
-  }
-}
-
-std::vector<float> EmbeddingMips::Score(
-    const std::vector<int32_t>& fold_in) const {
-  std::vector<float> scores;
-  ScoreInto(fold_in, &scores);
-  return scores;
-}
-
-void EmbeddingMips::ScoreInto(const std::vector<int32_t>& fold_in,
-                              std::vector<float>* scores) const {
-  VSAN_CHECK_GT(num_items_, 0) << "Fit() must be called before Score()";
-  std::vector<float> query;
-  EncodeQueryInto(fold_in, &query);
-  const int64_t rows = static_cast<int64_t>(num_items_) + 1;
-  scores->assign(static_cast<size_t>(rows), 0.0f);
-  // scores = query . table^T — the same blocked GEMM the trained models'
-  // output projections run, so exact-mode timings are representative.
-  Gemm(query.data(), table_.data(), scores->data(), /*m=*/1, /*n=*/rows,
-       /*k=*/config_.d, /*trans_a=*/false, /*trans_b=*/true);
-  if (!bias_.empty()) {
-    for (int64_t r = 0; r < rows; ++r) (*scores)[r] += bias_[r];
   }
 }
 

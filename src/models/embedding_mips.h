@@ -14,8 +14,9 @@ namespace models {
 // (the million-item benchmarks and RSS audits).  The "model" is just a
 // random item-embedding table plus optional per-item bias; a user's query
 // vector is the mean of their fold-in items' embeddings, and scoring is the
-// same dense matmul every factorized model ends with — so its exact
-// ScoreInto is an honest baseline for the fast backends, not a strawman.
+// base class's factorized path, the same dense matmul every factorized model
+// ends with — so its exact ScoreInto is an honest baseline for the fast
+// backends, not a strawman.
 //
 // FitCatalog() initializes the table directly from a catalog size, skipping
 // dataset construction entirely; Fit() forwards to it so the model still
@@ -38,10 +39,6 @@ class EmbeddingMips : public SequentialRecommender {
   // Builds the random table for a catalog of `num_items` items (row 0 is
   // the padding item and stays zero).
   void FitCatalog(int32_t num_items);
-
-  std::vector<float> Score(const std::vector<int32_t>& fold_in) const override;
-  void ScoreInto(const std::vector<int32_t>& fold_in,
-                 std::vector<float>* scores) const override;
 
   bool GetFactorizedHead(FactorizedHead* head) const override;
   bool EncodeQueryInto(const std::vector<int32_t>& fold_in,

@@ -62,7 +62,7 @@ void Gru4Rec::Fit(const data::SequenceDataset& train,
   TrainRuntime runtime(opts, std::move(hooks));
 
   RunTrainLoop(&batcher, &optimizer, opts, &runtime,
-               [this](const data::TrainBatch& batch) {
+               [this](const data::TrainBatch& batch, int64_t) {
                  Variable hidden =
                      net_->Encode(batch.inputs, batch.batch_size, &rng_);
                  Variable flat = ops::Reshape(
@@ -81,32 +81,6 @@ void Gru4Rec::Fit(const data::SequenceDataset& train,
                                                  /*ignore_index=*/-1);
                });
   net_->SetTraining(false);
-}
-
-std::vector<float> Gru4Rec::Score(const std::vector<int32_t>& fold_in) const {
-  std::vector<float> scores;
-  ScoreInto(fold_in, &scores);
-  return scores;
-}
-
-void Gru4Rec::ScoreInto(const std::vector<int32_t>& fold_in,
-                       std::vector<float>* scores) const {
-  VSAN_CHECK(net_ != nullptr) << "Fit() must be called before Score()";
-  ScopedMatMulPrecision precision_guard(eval_precision());
-  const std::vector<int32_t> padded = data::SequenceBatcher::PadSequence(
-      fold_in, config_.max_len, /*pad_left=*/false);
-  Variable hidden = net_->Encode(padded, /*batch=*/1, &rng_);
-  // Last real position under right padding.
-  const int64_t last = std::min<int64_t>(static_cast<int64_t>(fold_in.size()),
-                                         config_.max_len) -
-                       1;
-  VSAN_CHECK_GE(last, 0);
-  Variable row = net_->Logits(ops::Reshape(
-      ops::Slice(hidden, /*axis=*/1, last, /*len=*/1), {1, config_.hidden}));
-  const Tensor& out = row.value();
-  scores->resize(num_items_ + 1);
-  const float* src = out.data();
-  std::copy(src, src + num_items_ + 1, scores->data());
 }
 
 bool Gru4Rec::GetFactorizedHead(FactorizedHead* head) const {

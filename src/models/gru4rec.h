@@ -36,12 +36,9 @@ class Gru4Rec : public SequentialRecommender {
   void Fit(const data::SequenceDataset& train,
            const TrainOptions& options) override;
 
-  std::vector<float> Score(const std::vector<int32_t>& fold_in) const override;
-  void ScoreInto(const std::vector<int32_t>& fold_in,
-                 std::vector<float>* scores) const override;
-
-  // Fast-retrieval seam: the output Linear's [hidden, V+1] weight columns
-  // are the item vectors; the query is the last real position's GRU state.
+  // Scoring is the base class's factorized path: the output Linear's
+  // [hidden, V+1] weight columns are the item vectors; the query is the
+  // last real position's GRU state.
   bool GetFactorizedHead(FactorizedHead* head) const override;
   bool EncodeQueryInto(const std::vector<int32_t>& fold_in,
                        std::vector<float>* query) const override;

@@ -1,6 +1,7 @@
 #ifndef VSAN_MODELS_RECOMMENDER_H_
 #define VSAN_MODELS_RECOMMENDER_H_
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -9,6 +10,7 @@
 #include "data/dataset.h"
 #include "tensor/gemm.h"
 #include "util/early_stopping.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace vsan {
@@ -87,10 +89,12 @@ struct TrainOptions {
 //   score[i] = dot(query, item_vector(i)) + bias[i]
 //
 // where `query` comes from SequentialRecommender::EncodeQueryInto — the
-// same eval-mode forward pass as ScoreInto, stopped just before the output
-// projection.  With that decomposition the evaluator can rank a large
-// catalog without materializing the full score vector: quantized scans and
-// IVF cluster pruning only need the item vectors.
+// model's eval-mode forward pass, stopped just before the output
+// projection.  ScoreQueries below is that projection, shared by the base
+// ScoreInto and the serving daemon's batched scoring stage.  With the
+// decomposition the evaluator can also rank a large catalog without
+// materializing the full score vector: quantized scans and IVF cluster
+// pruning only need the item vectors.
 //
 // `weights` and `bias` point into the model's own parameters; they are not
 // owned and stay valid only while the model is alive and not refitted.
@@ -114,6 +118,24 @@ struct FactorizedHead {
       for (int64_t p = 0; p < dim; ++p) out[p] = weights[p * num_rows + i];
     }
   }
+
+  // Scores `count` contiguous query rows ([count, dim]) against every item:
+  // scores[r * num_rows + i] = dot(query r, item_vector(i)) + bias[i].  One
+  // Gemm over the whole head; every element receives its dim contributions
+  // in ascending order from 0 whatever the M blocking (tensor/gemm.h), so
+  // each entry is bitwise the DotFma / DotFmaStrided chain
+  // (tensor/int8_dot.h) plus the bias, at any `count`.
+  void ScoreQueries(const float* queries, int64_t count,
+                    float* scores) const {
+    std::fill(scores, scores + count * num_rows, 0.0f);
+    Gemm(queries, weights, scores, count, num_rows, dim, /*trans_a=*/false,
+         /*trans_b=*/items_are_rows);
+    if (bias == nullptr) return;
+    for (int64_t r = 0; r < count; ++r) {
+      float* row = scores + r * num_rows;
+      for (int64_t i = 0; i < num_rows; ++i) row[i] += bias[i];
+    }
+  }
 };
 
 // Common interface for the paper's nine models (Table III).
@@ -134,18 +156,36 @@ class SequentialRecommender {
   // Scores all items for a previously unseen user given their fold-in
   // history (chronological, item ids in [1, num_items]).  Returns a vector
   // of size num_items + 1; index 0 (the padding item) is ignored by the
-  // evaluator.  Higher means more likely to be interacted with next.
-  virtual std::vector<float> Score(
-      const std::vector<int32_t>& fold_in) const = 0;
+  // evaluator.  Higher means more likely to be interacted with next.  The
+  // default wraps ScoreInto(); only models without a FactorizedHead (the
+  // non-factorized baselines) override it.
+  virtual std::vector<float> Score(const std::vector<int32_t>& fold_in) const {
+    std::vector<float> scores;
+    ScoreInto(fold_in, &scores);
+    return scores;
+  }
 
   // Like Score(), but writes into a caller-owned vector so repeated calls
   // (the evaluator scores thousands of users in a loop) reuse one
-  // allocation instead of constructing a fresh vector per user.  `scores`
-  // is resized to num_items + 1 and fully overwritten.  The default
-  // forwards to Score(); models with a custom fast path override it.
+  // allocation.  `scores` is resized to num_items + 1 and fully
+  // overwritten.  The default is the one scoring path of every factorized
+  // model: EncodeQueryInto, then FactorizedHead::ScoreQueries, under an
+  // eval_precision() guard.  A model without a head falls back to its
+  // Score() override — so every model must provide a head or override
+  // Score().
   virtual void ScoreInto(const std::vector<int32_t>& fold_in,
                          std::vector<float>* scores) const {
-    *scores = Score(fold_in);
+    FactorizedHead head;
+    if (!GetFactorizedHead(&head)) {
+      *scores = Score(fold_in);
+      return;
+    }
+    ScopedMatMulPrecision precision_guard(eval_precision());
+    std::vector<float> query;
+    VSAN_CHECK(EncodeQueryInto(fold_in, &query))
+        << name() << ": a factorized head needs EncodeQueryInto";
+    scores->resize(static_cast<size_t>(head.num_rows));
+    head.ScoreQueries(query.data(), /*count=*/1, scores->data());
   }
 
   // --- Fast-retrieval seam (see FactorizedHead above) -------------------
@@ -161,9 +201,9 @@ class SequentialRecommender {
     return false;
   }
 
-  // Writes the query-side vector (size head.dim) for one user: the same
-  // deterministic eval-mode forward as ScoreInto, minus the projection
-  // onto the item vocabulary.
+  // Writes the query-side vector (size head.dim) for one user: the
+  // deterministic eval-mode forward pass, minus the projection onto the
+  // item vocabulary.
   virtual bool EncodeQueryInto(const std::vector<int32_t>& fold_in,
                                std::vector<float>* query) const {
     (void)fold_in;
@@ -202,11 +242,12 @@ class SequentialRecommender {
   // --- Inference precision ----------------------------------------------
   //
   // Operand-storage precision for the GEMMs inside Score / ScoreInto /
-  // EncodeQueryInto (tensor/gemm.h).  Each model's scoring path installs a
-  // ScopedMatMulPrecision guard with this value *inside* the virtual call,
-  // so the setting follows the model onto whatever thread scores it
-  // (ScoreBatch fans ScoreInto out over pool workers) and can never leak
-  // into training: Fit() never consults it.  With kBf16, the accuracy cost
+  // EncodeQueryInto (tensor/gemm.h).  The scoring paths (the base ScoreInto
+  // and each model's encode) install a ScopedMatMulPrecision guard with
+  // this value *inside* the virtual call, so the setting follows the model
+  // onto whatever thread scores it (ScoreBatch fans ScoreInto out over
+  // pool workers) and can never leak into training: Fit() never consults
+  // it.  With kBf16, the accuracy cost
   // is tracked — not assumed away — by the eval-delta test
   // (tests/bf16_test.cc) and the EXPERIMENTS.md table.
   void set_eval_precision(MatMulPrecision precision) {

@@ -97,7 +97,7 @@ void SasRec::Fit(const data::SequenceDataset& train,
   TrainRuntime runtime(opts, std::move(hooks));
 
   RunTrainLoop(&batcher, &optimizer, opts, &runtime,
-               [this](const data::TrainBatch& batch) {
+               [this](const data::TrainBatch& batch, int64_t) {
                  Variable hidden =
                      net_->Encode(batch.inputs, batch.batch_size, &rng_);
                  Variable flat = ops::Reshape(
@@ -139,30 +139,6 @@ void SasRec::Fit(const data::SequenceDataset& train,
   net_->SetTraining(false);
 }
 
-std::vector<float> SasRec::Score(const std::vector<int32_t>& fold_in) const {
-  std::vector<float> scores;
-  ScoreInto(fold_in, &scores);
-  return scores;
-}
-
-void SasRec::ScoreInto(const std::vector<int32_t>& fold_in,
-                      std::vector<float>* scores) const {
-  VSAN_CHECK(net_ != nullptr) << "Fit() must be called before Score()";
-  ScopedMatMulPrecision precision_guard(eval_precision());
-  const std::vector<int32_t> padded =
-      data::SequenceBatcher::PadSequence(fold_in, config_.max_len);
-  Variable hidden = net_->Encode(padded, /*batch=*/1, &rng_);
-  // The last position is the most recent item (left padding).
-  Variable last = ops::Reshape(
-      ops::Slice(hidden, /*axis=*/1, config_.max_len - 1, /*len=*/1),
-      {1, config_.d});
-  Variable logits = net_->Logits(last);
-  const Tensor& out = logits.value();
-  scores->resize(num_items_ + 1);
-  const float* src = out.data();
-  std::copy(src, src + num_items_ + 1, scores->data());
-}
-
 bool SasRec::GetFactorizedHead(FactorizedHead* head) const {
   VSAN_CHECK(net_ != nullptr) << "Fit() must be called before GetFactorizedHead()";
   head->dim = config_.d;
@@ -175,18 +151,7 @@ bool SasRec::GetFactorizedHead(FactorizedHead* head) const {
 
 bool SasRec::EncodeQueryInto(const std::vector<int32_t>& fold_in,
                              std::vector<float>* query) const {
-  VSAN_CHECK(net_ != nullptr) << "Fit() must be called before EncodeQueryInto()";
-  ScopedMatMulPrecision precision_guard(eval_precision());
-  const std::vector<int32_t> padded =
-      data::SequenceBatcher::PadSequence(fold_in, config_.max_len);
-  Variable hidden = net_->Encode(padded, /*batch=*/1, &rng_);
-  Variable last = ops::Reshape(
-      ops::Slice(hidden, /*axis=*/1, config_.max_len - 1, /*len=*/1),
-      {1, config_.d});
-  query->resize(static_cast<size_t>(config_.d));
-  const float* src = last.value().data();
-  std::copy(src, src + config_.d, query->data());
-  return true;
+  return EncodeBatchInto({fold_in}, query);
 }
 
 bool SasRec::EncodeBatchInto(const std::vector<std::vector<int32_t>>& fold_ins,

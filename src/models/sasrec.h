@@ -42,18 +42,14 @@ class SasRec : public SequentialRecommender {
   void Fit(const data::SequenceDataset& train,
            const TrainOptions& options) override;
 
-  std::vector<float> Score(const std::vector<int32_t>& fold_in) const override;
-  void ScoreInto(const std::vector<int32_t>& fold_in,
-                 std::vector<float>* scores) const override;
-
-  // Fast-retrieval seam: logits are hidden . item_emb row (tied table, no
-  // bias), so the head is the embedding table and the query is the last
-  // position's hidden state.
+  // Scoring is the base class's factorized path: logits are hidden .
+  // item_emb row (tied table, no bias), so the head is the embedding table
+  // and the query is the last position's hidden state.
   bool GetFactorizedHead(FactorizedHead* head) const override;
+  // A batch of one through EncodeBatchInto.
   bool EncodeQueryInto(const std::vector<int32_t>& fold_in,
                        std::vector<float>* query) const override;
-  // One Encode over the whole batch; bitwise-identical per query to
-  // EncodeQueryInto (see models/recommender.h).
+  // One Encode over the whole batch (see models/recommender.h).
   bool EncodeBatchInto(const std::vector<std::vector<int32_t>>& fold_ins,
                        std::vector<float>* queries) const override;
 

@@ -4,12 +4,9 @@
 
 #include "autograd/ops.h"
 #include "data/batcher.h"
-#include "models/epoch_report.h"
-#include "models/train_runtime.h"
-#include "obs/trace.h"
+#include "models/train_loop.h"
 #include "optim/adam.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace vsan {
 namespace models {
@@ -91,135 +88,42 @@ void Svae::Fit(const data::SequenceDataset& train, const TrainOptions& opts) {
   hooks.model_name = "svae";
   TrainRuntime runtime(opts, std::move(hooks));
 
-  int64_t step = 0;
-  int32_t epoch = 0;
-  if (!runtime.Begin(&step, &epoch)) return;
-  while (epoch < opts.epochs) {
-    VSAN_TRACE_SPAN("train/epoch", kTrain);
-    Stopwatch epoch_timer;
-    batcher.NewEpoch();
-    double loss_sum = 0.0;
-    double recon_sum = 0.0;
-    double kl_sum = 0.0;
-    double grad_norm_sum = 0.0;
-    float last_beta = 0.0f;
-    int64_t batches = 0;
-    bool rolled_back = false;
-    bool stop = false;
-    data::TrainBatch batch;
-    while (batcher.NextBatch(&batch)) {
-      if (runtime.PreStep(step + 1)) return;  // simulated kill
-      const int64_t sched_step = step;
-      ++step;
-      Net::Outputs out = net_->Forward(batch.inputs, batch.batch_size, &rng_);
-      // Decode only positions with targets, trimmed to the configured k
-      // (the batcher filled >= k items per set).
-      std::vector<int64_t> rows;
-      std::vector<std::vector<int32_t>> targets;
-      for (int64_t r = 0; r < batch.batch_size * batch.seq_len; ++r) {
-        if (batch.nextk_targets[r].empty()) continue;
-        rows.push_back(r);
-        std::vector<int32_t> set = batch.nextk_targets[r];
-        if (static_cast<int32_t>(set.size()) > config_.next_k) {
-          set.resize(config_.next_k);
+  RunTrainLoop(
+      &batcher, &optimizer, opts, &runtime,
+      [this](const data::TrainBatch& batch, int64_t sched_step) {
+        Net::Outputs out =
+            net_->Forward(batch.inputs, batch.batch_size, &rng_);
+        // Decode only positions with targets, trimmed to the configured k
+        // (the batcher filled >= k items per set).
+        std::vector<int64_t> rows;
+        std::vector<std::vector<int32_t>> targets;
+        for (int64_t r = 0; r < batch.batch_size * batch.seq_len; ++r) {
+          if (batch.nextk_targets[r].empty()) continue;
+          rows.push_back(r);
+          std::vector<int32_t> set = batch.nextk_targets[r];
+          if (static_cast<int32_t>(set.size()) > config_.next_k) {
+            set.resize(config_.next_k);
+          }
+          targets.push_back(std::move(set));
         }
-        targets.push_back(std::move(set));
-      }
-      Variable logits =
-          net_->Decode(ops::GatherRows(out.z, rows), &rng_);
-      Variable recon = ops::MultiLabelSoftmaxCrossEntropy(logits, targets);
-      Variable kl =
-          ops::KlStandardNormal(out.mu, out.logvar, batch.position_mask);
-      const float beta =
-          config_.anneal_steps > 0
-              ? config_.beta_max *
-                    std::min(1.0f,
-                             static_cast<float>(sched_step) /
-                                 static_cast<float>(config_.anneal_steps))
-              : config_.beta_max;
-      Variable loss = ops::Add(recon, ops::Scale(kl, beta));
-      last_beta = beta;
-      float loss_value = loss.value()[0];
-      TrainRuntime::StepAction action = runtime.GuardLoss(&loss_value, step);
-      if (action == TrainRuntime::StepAction::kSkip) continue;
-      if (action == TrainRuntime::StepAction::kStop) {
-        stop = true;
-        break;
-      }
-      if (action == TrainRuntime::StepAction::kRollback) {
-        runtime.Rollback(&step, &epoch);
-        rolled_back = true;
-        break;
-      }
-      optimizer.ZeroGrad();
-      loss.Backward();
-      if (opts.grad_clip_norm > 0.0f) {
-        const double norm = optimizer.ClipGradNorm(opts.grad_clip_norm);
-        action = runtime.GuardGradNorm(norm, step);
-        if (action == TrainRuntime::StepAction::kSkip) continue;
-        if (action == TrainRuntime::StepAction::kStop) {
-          stop = true;
-          break;
-        }
-        if (action == TrainRuntime::StepAction::kRollback) {
-          runtime.Rollback(&step, &epoch);
-          rolled_back = true;
-          break;
-        }
-        grad_norm_sum += norm;
-      }
-      optimizer.Step();
-      loss_sum += loss_value;
-      recon_sum += recon.value()[0];
-      kl_sum += kl.value()[0];
-      ++batches;
-    }
-    if (rolled_back) continue;  // replay from the last checkpoint
-    if (batches > 0) {
-      EpochStats stats;
-      stats.epoch = epoch;
-      stats.loss = loss_sum / batches;
-      stats.wall_ms = epoch_timer.ElapsedMillis();
-      stats.batches = batches;
-      if (opts.grad_clip_norm > 0.0f) {
-        stats.grad_norm = grad_norm_sum / batches;
-      }
-      stats.learning_rate = optimizer.learning_rate();
-      std::vector<std::pair<std::string, double>> extras;
-      extras.emplace_back("recon", recon_sum / batches);
-      extras.emplace_back("kl", kl_sum / batches);
-      extras.emplace_back("beta", static_cast<double>(last_beta));
-      ReportEpoch(opts, stats, step, std::move(extras));
-    }
-    if (stop) break;
-    runtime.EndEpoch(epoch, step);
-    ++epoch;
-  }
+        Variable logits = net_->Decode(ops::GatherRows(out.z, rows), &rng_);
+        Variable recon = ops::MultiLabelSoftmaxCrossEntropy(logits, targets);
+        Variable kl =
+            ops::KlStandardNormal(out.mu, out.logvar, batch.position_mask);
+        const float beta =
+            config_.anneal_steps > 0
+                ? config_.beta_max *
+                      std::min(1.0f,
+                               static_cast<float>(sched_step) /
+                                   static_cast<float>(config_.anneal_steps))
+                : config_.beta_max;
+        StepLoss step(ops::Add(recon, ops::Scale(kl, beta)));
+        step.terms.push_back({"recon", recon.value()[0]});
+        step.terms.push_back({"kl", kl.value()[0]});
+        step.terms.push_back({"beta", beta, /*report_last=*/true});
+        return step;
+      });
   net_->SetTraining(false);
-}
-
-std::vector<float> Svae::Score(const std::vector<int32_t>& fold_in) const {
-  std::vector<float> scores;
-  ScoreInto(fold_in, &scores);
-  return scores;
-}
-
-void Svae::ScoreInto(const std::vector<int32_t>& fold_in,
-                    std::vector<float>* scores) const {
-  VSAN_CHECK(net_ != nullptr) << "Fit() must be called before Score()";
-  ScopedMatMulPrecision precision_guard(eval_precision());
-  const std::vector<int32_t> padded = data::SequenceBatcher::PadSequence(
-      fold_in, config_.max_len, /*pad_left=*/false);
-  Net::Outputs out = net_->Forward(padded, /*batch=*/1, &rng_);
-  const int64_t last = std::min<int64_t>(static_cast<int64_t>(fold_in.size()),
-                                         config_.max_len) -
-                       1;
-  VSAN_CHECK_GE(last, 0);
-  Variable row = net_->Decode(ops::GatherRows(out.z, {last}), &rng_);
-  const Tensor& v = row.value();
-  scores->resize(num_items_ + 1);
-  const float* src = v.data();
-  std::copy(src, src + num_items_ + 1, scores->data());
 }
 
 bool Svae::GetFactorizedHead(FactorizedHead* head) const {

@@ -39,16 +39,17 @@ class Svae : public SequentialRecommender {
   void Fit(const data::SequenceDataset& train,
            const TrainOptions& options) override;
 
-  std::vector<float> Score(const std::vector<int32_t>& fold_in) const override;
-  void ScoreInto(const std::vector<int32_t>& fold_in,
-                 std::vector<float>* scores) const override;
-
-  // Fast-retrieval seam: the output Linear's weight columns are the item
-  // vectors; the query is the decoder's pre-projection feature vector
-  // (Net::DecodeHidden) at the last real position's posterior mean.
+  // Scoring is the base class's factorized path: the output Linear's
+  // weight columns are the item vectors; the query is the decoder's
+  // pre-projection feature vector (Net::DecodeHidden) at the last real
+  // position's posterior mean.
   bool GetFactorizedHead(FactorizedHead* head) const override;
   bool EncodeQueryInto(const std::vector<int32_t>& fold_in,
                        std::vector<float>* query) const override;
+
+  // Trained network (null before Fit); exposed for checkpoint tests that
+  // compare parameters bitwise across resumed runs.
+  const nn::Module* module() const { return net_.get(); }
 
  private:
   struct Net : public nn::Module {

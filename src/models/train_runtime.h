@@ -25,12 +25,13 @@ namespace vsan {
 namespace models {
 
 // Crash-safety companion for a model's Fit loop: checkpoint/resume,
-// divergence guards, and the fault-injection taps, factored out so the
-// shared RunTrainLoop and the custom loops (VSAN, SVAE, Caser) behave
-// identically.  Header-only because vsan_core uses it without linking
-// vsan_models.
+// divergence guards, and the fault-injection taps.  RunTrainLoop
+// (models/train_loop.h) is the one loop that drives it, and every neural
+// model trains through that loop, so guards, metrics, spans and
+// checkpoints behave identically by construction.  Header-only because
+// vsan_core uses it without linking vsan_models.
 //
-// Protocol (all steps 1-based):
+// Protocol (all steps 1-based), as RunTrainLoop implements it:
 //
 //   TrainRuntime rt(options, hooks);
 //   int64_t step = 0; int32_t epoch = 0;
@@ -206,6 +207,7 @@ class TrainRuntime {
   }
 
   const std::string& checkpoint_path() const { return path_; }
+  const std::string& model_name() const { return hooks_.model_name; }
 
  private:
   StepAction OnNonFinite(const char* what, double value, int64_t step) {

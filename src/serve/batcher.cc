@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "obs/metrics.h"
-#include "tensor/gemm.h"
 #include "util/fault.h"
 #include "util/logging.h"
 
@@ -242,22 +241,17 @@ void ScoreBatcher::Flush(const std::vector<BatchQueue::Job*>& slice) {
     std::memcpy(queries_.data() + i * dim, job->query->data(),
                 sizeof(float) * static_cast<size_t>(dim));
   }
-  // One M=batch GEMM against the whole head: scores[i][row] receives its
-  // dim contributions in ascending order from 0, so each row is bitwise
-  // what an M=1 call — or the per-request DotFma scan — would produce.
-  // items_are_rows means the head is [rows x dim] and enters transposed;
-  // otherwise it is already [dim x rows].
-  scores_.assign(static_cast<size_t>(batch * rows), 0.0f);
-  Gemm(queries_.data(), head_.weights, scores_.data(), batch, rows, dim,
-       /*trans_a=*/false, /*trans_b=*/head_.items_are_rows);
+  // One M=batch GEMM against the whole head, bias included: each row is
+  // bitwise what the model's own ScoreInto (an M=1 call of the same
+  // helper) produces.
+  scores_.resize(static_cast<size_t>(batch * rows));
+  head_.ScoreQueries(queries_.data(), batch, scores_.data());
   for (int64_t i = 0; i < batch; ++i) {
     ScoreJob* job = static_cast<ScoreJob*>(slice[i]);
     const float* row_scores = scores_.data() + i * rows;
     collector_.Reset(job->fetch);
     for (int64_t row = 1; row < rows; ++row) {
-      float score = row_scores[row];
-      if (head_.bias != nullptr) score += head_.bias[row];
-      collector_.Offer(static_cast<int32_t>(row), score);
+      collector_.Offer(static_cast<int32_t>(row), row_scores[row]);
     }
     job->top->clear();
     collector_.DrainSortedTo(job->top);

@@ -195,10 +195,10 @@ class RequestBatcher {
 
 // Stage 2, exact backend only: encoded states -> top-`fetch` candidates
 // ("serve.score.*" metrics).  One flush performs a single
-// Gemm([batch x dim], head) over the full catalog, adds the bias, and runs
-// the per-row TopKCollector scan — so the packed head panels are streamed
-// once per batch.  Per-element results are bitwise-identical to the
-// per-request DotFma scan (and therefore to the model's own ScoreInto)
+// FactorizedHead::ScoreQueries over the full catalog (Gemm([batch x dim],
+// head) plus the bias) and runs the per-row TopKCollector scan — so the
+// packed head panels are streamed once per batch.  Per-element results are
+// bitwise-identical to the model's own ScoreInto, the same helper at M=1,
 // because the blocked GEMM accumulates each element's k contributions in
 // ascending order regardless of M blocking (tensor/gemm.h).
 class ScoreBatcher {

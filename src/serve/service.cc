@@ -3,7 +3,6 @@
 #include <unordered_set>
 
 #include "obs/metrics.h"
-#include "tensor/int8_dot.h"
 #include "util/logging.h"
 
 namespace vsan {
@@ -28,8 +27,11 @@ RecommendService::RecommendService(const SequentialRecommender* model,
   VSAN_CHECK(model_ != nullptr);
   VSAN_CHECK(batcher_ != nullptr);
   VSAN_CHECK(cache_ != nullptr);
+  VSAN_CHECK(index_ != nullptr || scorer_ != nullptr)
+      << "the service needs a retrieval index or a scoring stage";
   VSAN_CHECK_GT(num_items_, 0);
-  VSAN_CHECK(model_->GetFactorizedHead(&head_))
+  FactorizedHead head;
+  VSAN_CHECK(model_->GetFactorizedHead(&head))
       << "the serving daemon requires a factorized-head model";
   // Same name the encode-stage queue registers, deliberately: one counter
   // totals deadline expiries wherever they are detected.
@@ -104,7 +106,7 @@ ServeStatus RecommendService::SearchTopK(
     }
     thread_local eval::RetrievalIndex::Scratch scratch;
     index_->Search(query.data(), fetch, &scratch, &candidates);
-  } else if (scorer_ != nullptr) {
+  } else {
     // Exact backend: the batched scoring stage runs one M=batch GEMM over
     // the factorized head per flush; each row is bitwise the model's
     // ScoreInto entries (tensor/gemm.h M-blocking invariance), ranked in
@@ -126,29 +128,6 @@ ServeStatus RecommendService::SearchTopK(
         deadline_counter_->Increment();
         return ServeStatus::kDeadlineExceeded;
     }
-  } else {
-    // Inline exact scan, also on the handler thread: same single expiry
-    // check as the index path.
-    if (request.deadline_ns > 0 && SteadyNowNs() >= request.deadline_ns) {
-      deadline_counter_->Increment();
-      return ServeStatus::kDeadlineExceeded;
-    }
-    // No scoring stage wired (tests, degraded setups): inline per-request
-    // scan with the same ascending-index FMA chain the blocked logits GEMM
-    // uses per element (tensor/int8_dot.h), bias after — identical results,
-    // no cross-request batching.
-    eval::TopKCollector collector(fetch);
-    const int64_t dim = head_.dim;
-    for (int64_t row = 1; row < head_.num_rows; ++row) {
-      float score =
-          head_.items_are_rows
-              ? internal::DotFma(query.data(), head_.weights + row * dim, dim)
-              : internal::DotFmaStrided(query.data(), head_.weights + row,
-                                        dim, head_.num_rows);
-      if (head_.bias != nullptr) score += head_.bias[row];
-      collector.Offer(static_cast<int32_t>(row), score);
-    }
-    collector.DrainSortedTo(&candidates);
   }
 
   out->reserve(static_cast<size_t>(request.k));

@@ -77,10 +77,10 @@ struct ServiceOptions {
 
 class RecommendService {
  public:
-  // `index` may be null: the service then scores the full catalog through
-  // the model's FactorizedHead (the exact backend).  On that path `scorer`
-  // carries the batched scoring stage; when it is also null the service
-  // falls back to an inline per-request scan (same results, no batching).
+  // Exactly one backend is used: with `index` set the service searches it;
+  // with `index` null it scores the full catalog through the model's
+  // FactorizedHead (the exact backend), and `scorer`, the batched scoring
+  // stage, must be set.
   // All pointers are borrowed and must outlive the service.  `generation`
   // is the model generation this service serves: the encoded-state cache is
   // keyed by it, so a service built over a hot-reloaded model can never hit
@@ -109,11 +109,10 @@ class RecommendService {
   const int32_t num_items_;
   const eval::RetrievalIndex* index_;  // null = exact full scan
   RequestBatcher* batcher_;
-  ScoreBatcher* scorer_;  // exact-path scoring stage; may be null
+  ScoreBatcher* scorer_;  // exact-path scoring stage; set when !index_
   EncodedStateCache* cache_;
   const ServiceOptions options_;
   const int64_t generation_;
-  FactorizedHead head_;
   obs::Counter* deadline_counter_;  // serve.deadline_expired
 };
 

@@ -2,13 +2,16 @@
 // schedules, early stopping, and the sampled-negative evaluation protocol.
 
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
 #include "data/dataset.h"
 #include "eval/evaluator.h"
+#include "models/registry.h"
 #include "models/sasrec.h"
+#include "obs/metrics.h"
 #include "optim/adam.h"
 #include "optim/lr_schedule.h"
 #include "testing/gradcheck.h"
@@ -124,29 +127,43 @@ TEST(LrScheduleTest, OptimizerAppliesScheduledRate) {
 }
 
 TEST(LrScheduleTest, ScheduleFlowsThroughTraining) {
-  // A zero-ish rate schedule must freeze the model; a real one must not.
+  // Every neural model trains through the one shared loop, so the loop
+  // contract holds for each of them: a zero-ish rate schedule must freeze
+  // the model while a real one must not, and the live train.steps counter
+  // advances by exactly the batches the epochs report.
   data::SequenceDataset ds = CycleDataset(10, 30, 6);
-  auto final_loss = [&](const optim::LrSchedule* schedule) {
-    models::SasRec::Config cfg;
-    cfg.max_len = 6;
-    cfg.d = 8;
-    cfg.num_blocks = 1;
-    cfg.dropout = 0.0f;
-    models::SasRec model(cfg);
-    TrainOptions opts;
-    opts.epochs = 6;
-    opts.batch_size = 16;
-    opts.lr_schedule = schedule;
-    double last = 0.0;
-    opts.epoch_callback = [&](const EpochStats& stats) {
-      last = stats.loss;
+  for (const char* name : {"vsan", "sasrec", "gru4rec", "caser", "svae"}) {
+    SCOPED_TRACE(name);
+    auto final_loss = [&](const optim::LrSchedule* schedule) {
+      models::ModelSizing sizing;
+      sizing.d = 8;
+      sizing.max_len = 6;
+      sizing.blocks = 1;
+      sizing.dropout = 0.0f;
+      std::unique_ptr<SequentialRecommender> model =
+          models::CreateModel(name, sizing);
+      TrainOptions opts;
+      opts.epochs = 6;
+      opts.batch_size = 16;
+      opts.lr_schedule = schedule;
+      double last = 0.0;
+      int64_t batches = 0;
+      opts.epoch_callback = [&](const EpochStats& stats) {
+        last = stats.loss;
+        batches += stats.batches;
+      };
+      obs::Counter* steps =
+          obs::MetricsRegistry::Global().GetCounter("train.steps");
+      const int64_t before = steps->value();
+      model->Fit(ds, opts);
+      EXPECT_GT(batches, 0);
+      EXPECT_EQ(steps->value() - before, batches);
+      return last;
     };
-    model.Fit(ds, opts);
-    return last;
-  };
-  optim::ConstantLr frozen(1e-12f);
-  optim::ConstantLr normal(5e-3f);
-  EXPECT_GT(final_loss(&frozen), final_loss(&normal) + 0.1);
+    optim::ConstantLr frozen(1e-12f);
+    optim::ConstantLr normal(5e-3f);
+    EXPECT_GT(final_loss(&frozen), final_loss(&normal) + 0.1);
+  }
 }
 
 TEST(EarlyStopperTest, StopsAfterPatienceExhausted) {

@@ -1,6 +1,7 @@
 // Crash-safety integration tests: kill-and-resume determinism, divergence
 // guard policies, and the fault-injection harness (util/fault.h), driven
-// through the public Fit() API of the two attention models.
+// through the public Fit() API of the models that train through the shared
+// loop (models/train_loop.h).
 #include <sys/wait.h>
 
 #include <cmath>
@@ -18,8 +19,10 @@
 #include "core/vsan.h"
 #include "data/dataset.h"
 #include "data/synthetic.h"
+#include "models/caser.h"
 #include "models/recommender.h"
 #include "models/sasrec.h"
+#include "models/svae.h"
 #include "nn/module.h"
 #include "obs/metrics.h"
 #include "tensor/pool.h"
@@ -54,6 +57,29 @@ Trainee MakeTrainee(const std::string& which) {
     config.d = 8;
     config.anneal_steps = 8;  // beta still ramping when the fault strikes
     auto model = std::make_unique<core::Vsan>(config);
+    auto* raw = model.get();
+    out.rec = std::move(model);
+    out.module = [raw] { return raw->module(); };
+  } else if (which == "caser") {
+    // Same configuration as fault_train_helper.cc.
+    models::Caser::Config config;
+    config.window = 3;
+    config.d = 8;
+    config.heights = {2, 3};
+    config.h_filters = 2;
+    config.v_filters = 1;
+    auto model = std::make_unique<models::Caser>(config);
+    auto* raw = model.get();
+    out.rec = std::move(model);
+    out.module = [raw] { return raw->module(); };
+  } else if (which == "svae") {
+    models::Svae::Config config;
+    config.max_len = 8;
+    config.d = 8;
+    config.hidden = 8;
+    config.latent = 4;
+    config.anneal_steps = 8;  // beta still ramping when the fault strikes
+    auto model = std::make_unique<models::Svae>(config);
     auto* raw = model.get();
     out.rec = std::move(model);
     out.module = [raw] { return raw->module(); };
@@ -111,8 +137,11 @@ class FaultTest : public ::testing::Test {
 
 // --- Kill-and-resume determinism --------------------------------------
 
+// The model name is a std::string rather than a const char*: gtest prints a
+// char pointer's address into the listed test name ("# GetParam() = ..."),
+// so the discovered ctest names would change with every build.
 class KillResumeTest
-    : public ::testing::TestWithParam<std::tuple<const char*, bool>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {
  protected:
   void SetUp() override {
     pool_was_ = pool::PoolEnabled();
@@ -161,6 +190,64 @@ TEST_P(KillResumeTest, ResumedRunMatchesUninterruptedBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     ModelsAndPool, KillResumeTest,
     ::testing::Combine(::testing::Values("vsan", "sasrec"),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<KillResumeTest::ParamType>& info) {
+      return std::string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_PoolOn" : "_PoolOff");
+    });
+
+// Caser (instance-window batches, two RNG streams) and SVAE (annealed
+// beta) resume through the same shared loop.  Caser batches one instance
+// per (user, position t >= 1), so each kill is placed by the model's own
+// step count: the second step of epoch 2, with the epoch-1 checkpoint on
+// disk and epoch 2 already moving the parameters.
+int64_t MidEpochTwoStep(const std::string& which,
+                        const data::SequenceDataset& dataset) {
+  int64_t rows = dataset.num_users();
+  if (which == "caser") {
+    rows = 0;
+    for (int32_t u = 0; u < dataset.num_users(); ++u) {
+      rows += static_cast<int64_t>(dataset.sequence(u).size()) - 1;
+    }
+  }
+  return (rows + 15) / 16 + 2;  // BaseOptions' batch of 16
+}
+
+class BaselineKillResumeTest : public KillResumeTest {};
+
+TEST_P(BaselineKillResumeTest, ResumedRunMatchesUninterruptedBitwise) {
+  const std::string which = std::get<0>(GetParam());
+  const bool pool_on = std::get<1>(GetParam());
+  pool::SetPoolEnabledForTesting(pool_on);
+  const std::string tag = which + std::string(pool_on ? "_p1" : "_p0");
+  const data::SequenceDataset dataset = MakeDataset();
+
+  Trainee clean = MakeTrainee(which);
+  clean.rec->Fit(dataset, BaseOptions(::testing::TempDir() + "/bkrc_" + tag));
+  const std::vector<std::string> want = ParamBytes(clean.module());
+
+  const std::string dir = ::testing::TempDir() + "/bkri_" + tag;
+  const std::string spec =
+      "stop_at_step=" + std::to_string(MidEpochTwoStep(which, dataset));
+  fault::SetSpecForTest(spec.c_str());
+  {
+    Trainee interrupted = MakeTrainee(which);
+    interrupted.rec->Fit(dataset, BaseOptions(dir));
+  }
+  fault::SetSpecForTest(nullptr);
+
+  Trainee resumed = MakeTrainee(which);
+  TrainOptions options = BaseOptions(dir);
+  options.resume = true;
+  resumed.rec->Fit(dataset, options);
+
+  EXPECT_EQ(ParamBytes(resumed.module()), want);
+  EXPECT_EQ(resumed.rec->Score({1, 2, 3}), clean.rec->Score({1, 2, 3}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BaselinesAndPool, BaselineKillResumeTest,
+    ::testing::Combine(::testing::Values("caser", "svae"),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<KillResumeTest::ParamType>& info) {
       return std::string(std::get<0>(info.param)) +
@@ -321,6 +408,42 @@ TEST(SubprocessCrashTest, HardKillThenResumeMatchesCleanRun) {
     rc = std::system(cmd.c_str());
     ASSERT_TRUE(WIFEXITED(rc));
     ASSERT_EQ(WEXITSTATUS(rc), 0) << cmd;
+
+    std::string clean_bytes, crash_bytes;
+    ASSERT_TRUE(ReadFileToString(clean_params, &clean_bytes).ok());
+    ASSERT_TRUE(ReadFileToString(crash_params, &crash_bytes).ok());
+    EXPECT_EQ(clean_bytes, crash_bytes);
+  }
+}
+
+// The same hard kill for Caser and SVAE, placed mid-epoch 2 by each
+// model's own step count.
+TEST(SubprocessCrashTest, HardKillThenResumeMatchesCleanRunBaselines) {
+  const std::string helper = FAULT_HELPER_PATH;
+  const data::SequenceDataset dataset = MakeDataset();  // the helper's too
+  auto run = [&](const std::string& env, const std::string& args) {
+    const std::string cmd = env + helper + " " + args;
+    const int rc = std::system(cmd.c_str());
+    EXPECT_TRUE(WIFEXITED(rc)) << cmd;
+    return WEXITSTATUS(rc);
+  };
+  for (const std::string which : {"caser", "svae"}) {
+    SCOPED_TRACE(which);
+    const std::string base = ::testing::TempDir() + "/bsub_" + which;
+    const std::string clean_params = base + "_clean.params";
+    const std::string crash_params = base + "_crash.params";
+    std::remove(clean_params.c_str());
+    std::remove(crash_params.c_str());
+    const std::string crash_args =
+        which + " " + base + "_crash " + crash_params;
+
+    ASSERT_EQ(run("", which + " " + base + "_clean " + clean_params), 0);
+    const std::string kill = "VSAN_FAULT=abort_at_step=" +
+                             std::to_string(MidEpochTwoStep(which, dataset)) +
+                             " ";
+    ASSERT_EQ(run(kill, crash_args), 134);
+    EXPECT_FALSE(FileExists(crash_params));  // died before writing output
+    ASSERT_EQ(run("", crash_args + " --resume"), 0);
 
     std::string clean_bytes, crash_bytes;
     ASSERT_TRUE(ReadFileToString(clean_params, &clean_bytes).ok());

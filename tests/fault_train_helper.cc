@@ -11,8 +11,10 @@
 #include "core/vsan.h"
 #include "data/dataset.h"
 #include "data/synthetic.h"
+#include "models/caser.h"
 #include "models/recommender.h"
 #include "models/sasrec.h"
+#include "models/svae.h"
 #include "nn/module.h"
 #include "nn/serialize.h"
 #include "util/status.h"
@@ -32,8 +34,8 @@ vsan::data::SequenceDataset MakeDataset() {
 int main(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr,
-                 "usage: %s <vsan|sasrec> <checkpoint_dir> <params_out> "
-                 "[--resume]\n",
+                 "usage: %s <vsan|sasrec|caser|svae> <checkpoint_dir> "
+                 "<params_out> [--resume]\n",
                  argv[0]);
     return 2;
   }
@@ -65,6 +67,28 @@ int main(int argc, char** argv) {
     config.d = 8;
     config.num_blocks = 1;
     auto model = std::make_unique<vsan::models::SasRec>(config);
+    model->Fit(dataset, opts);
+    module = model->module();
+    keep_alive = std::move(model);
+  } else if (which == "caser") {
+    vsan::models::Caser::Config config;
+    config.window = 3;
+    config.d = 8;
+    config.heights = {2, 3};
+    config.h_filters = 2;
+    config.v_filters = 1;
+    auto model = std::make_unique<vsan::models::Caser>(config);
+    model->Fit(dataset, opts);
+    module = model->module();
+    keep_alive = std::move(model);
+  } else if (which == "svae") {
+    vsan::models::Svae::Config config;
+    config.max_len = 8;
+    config.d = 8;
+    config.hidden = 8;
+    config.latent = 4;
+    config.anneal_steps = 8;  // short anneal so beta varies across epochs
+    auto model = std::make_unique<vsan::models::Svae>(config);
     model->Fit(dataset, opts);
     module = model->module();
     keep_alive = std::move(model);

@@ -140,11 +140,15 @@ struct RecordingEncoder {
   bool gate_open = true;
   std::vector<size_t> batch_sizes;
   std::atomic<int> encodes_started{0};
+  // Rows carried into the encoder (counted before the gate, so rows held by
+  // a gated flush are included).
+  std::atomic<int> rows_started{0};
 
   RequestBatcher::EncodeFn fn() {
     return [this](const std::vector<std::vector<int32_t>>& fold_ins,
                   std::vector<float>* queries) {
       encodes_started.fetch_add(1);
+      rows_started.fetch_add(static_cast<int>(fold_ins.size()));
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, [this] { return gate_open; });
       batch_sizes.push_back(fold_ins.size());
@@ -280,7 +284,15 @@ TEST(RequestBatcherTest, StopDrainsQueueAndAnswersEveryCaller) {
           {i + 1}, &queries[static_cast<size_t>(i)]);
     });
   }
-  encoder.WaitForEncodeStart(1);  // flush thread is mid-batch, rest queued
+  // Wait until every caller is provably admitted — sliced into the gated
+  // encoder or sitting in the queue — before stopping.  Waiting on
+  // encode-start alone races: a caller that reaches Submit after Stop is
+  // turned away with kShutdown.  The slice removes rows from the queue
+  // (under the queue lock) strictly before the encoder counts them, so
+  // this sum never double-counts.
+  while (encoder.rows_started.load() + batcher.queue_depth() < kCallers) {
+    std::this_thread::yield();
+  }
 
   // Stop with the gate still shut: the drain must wait for the in-flight
   // flush and then work through the backlog, answering everyone.
@@ -636,12 +648,13 @@ TEST_F(ServiceOracleTest, CacheHitReturnsIdenticalResponse) {
 
 TEST_F(ServiceOracleTest, RejectsMalformedRequests) {
   auto batcher = MakeBatcher(1);
+  auto scorer = MakeScorer(1);
   EncodedStateCache cache(0);
   ServiceOptions options;
   options.max_k = 50;
   RecommendService service(model_.get(), model_->num_items(),
-                           /*index=*/nullptr, batcher.get(),
-                           /*scorer=*/nullptr, &cache, options);
+                           /*index=*/nullptr, batcher.get(), scorer.get(),
+                           &cache, options);
   RecommendResult result;
   RecommendRequest request;
   request.user_id = 1;
