@@ -104,31 +104,9 @@ void BM_BatchedMatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedMatMul)->ArgsProduct({{16, 32, 64}, ThreadCounts()});
 
-// The bf16-storage GEMM through the MatMulPrecision dispatch, on the same
-// cube sizes as BM_MatMul2D so the fp32/bf16 ratio reads off directly at
-// equal args.  The label records which micro-kernel variant was compiled
-// in (avx512bf16 / vector-widen / scalar) — the ratio is meaningless
-// without it: on parts where vdpbf16ps is microcoded, bf16 loses to the
-// fp32 FMA path even though it moves half the panel bytes (see
-// EXPERIMENTS.md).
-void BM_GemmBf16(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  UseThreads(state, 1);
-  Rng rng(1);
-  Tensor a = Tensor::RandomNormal({n, n}, &rng);
-  Tensor b = Tensor::RandomNormal({n, n}, &rng);
-  ScopedMatMulPrecision precision(MatMulPrecision::kBf16);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MatMul2D(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-  state.SetLabel(GemmBf16KernelVariant());
-}
-BENCHMARK(BM_GemmBf16)->ArgsProduct({{32, 64, 128, 256}, ThreadCounts()});
-
 // Real model shapes (the autotuner's sweep set): ScoreBatch's item-matrix
 // product, the training logits projection, and the attention score block.
-// Args are (m, n, k, precision) with precision 0=fp32, 1=bf16.
+// Args are (m, n, k).
 void BM_GemmModelShape(benchmark::State& state) {
   ThreadPool::SetGlobalNumThreads(1);
   const int64_t m = state.range(0);
@@ -137,18 +115,15 @@ void BM_GemmModelShape(benchmark::State& state) {
   Rng rng(5);
   Tensor a = Tensor::RandomNormal({m, k}, &rng);
   Tensor b = Tensor::RandomNormal({k, n}, &rng);
-  ScopedMatMulPrecision precision(state.range(3) != 0
-                                      ? MatMulPrecision::kBf16
-                                      : MatMulPrecision::kFp32);
   for (auto _ : state) {
     benchmark::DoNotOptimize(MatMul2D(a, b));
   }
   state.SetItemsProcessed(state.iterations() * m * n * k);
 }
 BENCHMARK(BM_GemmModelShape)
-    ->ArgsProduct({{256}, {4096}, {64}, {0, 1}})     // score_batch
-    ->ArgsProduct({{1024}, {4096}, {64}, {0, 1}})    // logits
-    ->ArgsProduct({{200}, {200}, {64}, {0, 1}});     // attn_scores
+    ->Args({256, 4096, 64})     // score_batch
+    ->Args({1024, 4096, 64})    // logits
+    ->Args({200, 200, 64});     // attn_scores
 
 void BM_SoftmaxLastDim(benchmark::State& state) {
   const int64_t cols = state.range(0);

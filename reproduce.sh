@@ -4,7 +4,8 @@
 # (test_output.txt, bench_output.txt) and CSVs in build/bench/.
 #
 # Knobs (see README): VSAN_BENCH_SCALE, VSAN_BENCH_EPOCHS, VSAN_BENCH_D,
-# VSAN_BENCH_SEEDS.  The defaults fit a single CPU core in ~45 minutes.
+# VSAN_BENCH_SEEDS.  The defaults were sized to take about 45 minutes; the
+# reference host has 4 cores (nproc = 4).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -13,38 +14,34 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-# Sanitizer sweeps over the labeled suites (pool/buffer code under ASan,
-# concurrency suites under TSan).  The pool stays enabled so poisoning of
-# released buffers is actually exercised.
-cmake -B build-asan -G Ninja -DVSAN_ASAN=ON
-cmake --build build-asan
-ctest --test-dir build-asan -L asan 2>&1 | tee test_output_asan.txt
+# Whole-suite sanitizer pass: one ASan+UBSan build runs every test.  The
+# pool stays enabled so poisoning of released buffers is actually
+# exercised, and UBSan traps on the misaligned reads and overflowing fields
+# a parser walking corrupted bytes could hit.
+cmake -B build-asan-ubsan -G Ninja -DVSAN_ASAN=ON -DVSAN_UBSAN=ON
+cmake --build build-asan-ubsan
+ctest --test-dir build-asan-ubsan 2>&1 | tee test_output_asan_ubsan.txt
 
+# Concurrency suites under TSan (a separate build: TSan excludes ASan).
 cmake -B build-tsan -G Ninja -DVSAN_TSAN=ON
 cmake --build build-tsan
 ctest --test-dir build-tsan -L tsan 2>&1 | tee test_output_tsan.txt
 
-# Crash-safety sweep: the checkpoint/fault suites under UBSan (the parser
-# walks corrupted bytes; misaligned reads and overflowing fields must trap),
-# plus the fault-labeled tests in the plain build for the kill-and-resume
-# subprocess scenarios.
-cmake -B build-ubsan -G Ninja -DVSAN_UBSAN=ON
-cmake --build build-ubsan
-ctest --test-dir build-ubsan -L ubsan 2>&1 | tee test_output_ubsan.txt
+# Crash-safety sweep: the fault-labeled tests in the plain build, for the
+# kill-and-resume subprocess scenarios.
 ctest --test-dir build -L fault 2>&1 | tee test_output_fault.txt
 
 # Fast-retrieval suite by label: streaming top-k vs partial_sort, int8
 # error bounds, IVF oracle equivalence, million-item RSS audit.  (Also in
-# the full run above, and its tests carry asan/tsan labels so the
-# sanitizer sweeps pick them up; the explicit selector keeps the layer
+# the full and sanitizer runs above; the explicit selector keeps the layer
 # runnable in isolation.)
 ctest --test-dir build -L retrieval 2>&1 | tee test_output_retrieval.txt
 
 # Live observability plane by label: Prometheus writer/parser, the embedded
 # HTTP metrics server (routes, malformed requests, concurrent scrapers
 # during a live training run), and the sampling profiler.  (Also in the
-# full run above; the http suites carry asan/tsan labels so the sanitizer
-# sweeps cover the accept/handler threads and the signal-handler buffer.)
+# full and sanitizer runs above; the server suite carries the tsan label so
+# the TSan sweep covers the accept/handler threads.)
 ctest --test-dir build -L http 2>&1 | tee test_output_http.txt
 
 # Serving plane by label: cache/batcher semantics, batched-encode bitwise
@@ -52,8 +49,7 @@ ctest --test-dir build -L http 2>&1 | tee test_output_http.txt
 # (readiness gate, 429 shedding, graceful drain) — plain build plus an
 # explicit TSan pass, since the batcher's cv/promise handoffs and the
 # daemon's shutdown ordering are exactly the code worth re-racing.  (Also
-# in the full run above; the serve suite carries asan/tsan labels so the
-# sanitizer sweeps pick it up.)
+# in the full and sanitizer runs above.)
 ctest --test-dir build -L serve 2>&1 | tee test_output_serve.txt
 ctest --test-dir build-tsan -L serve 2>&1 | tee test_output_serve_tsan.txt
 
@@ -61,18 +57,15 @@ ctest --test-dir build-tsan -L serve 2>&1 | tee test_output_serve_tsan.txt
 # real daemon — encoder stalls vs request deadlines (504), mid-response
 # socket resets, corrupt-checkpoint hot reloads (409, old generation keeps
 # serving), cache-write loss, the malformed-body fuzz matrix, and hot
-# reload under concurrent load.  Plain build plus explicit TSan (reload/
-# shutdown vs in-flight traffic races) and ASan (the fuzz matrix walks the
-# JSON parser's depth cap and every truncation point) passes.
+# reload under concurrent load.  Plain build plus an explicit TSan pass
+# (reload/shutdown vs in-flight traffic races); the ASan+UBSan run above
+# covers the fuzz matrix's walk over the JSON parser's depth cap and every
+# truncation point.
 ctest --test-dir build -L chaos 2>&1 | tee test_output_chaos.txt
 ctest --test-dir build-tsan -L chaos 2>&1 | tee test_output_chaos_tsan.txt
-ctest --test-dir build-asan -L chaos 2>&1 | tee test_output_chaos_asan.txt
 
-# Autotuner + bf16 storage path by label: VSANTUNE1 corruption rejection,
-# tuned-block bitwise equivalence, bf16 RNE edge cases and error bounds,
-# and the fp32-vs-bf16 eval accuracy delta on BeautyLike.  (Also in the
-# full run above; the bf16/autotune suites carry asan/ubsan labels so the
-# sanitizer sweeps cover the conversion and parser code.)
+# Autotuner by label: VSANTUNE1 corruption rejection and tuned-block
+# bitwise equivalence.  (Also in the full and sanitizer runs above.)
 ctest --test-dir build -L autotune 2>&1 | tee test_output_autotune.txt
 
 (
@@ -95,7 +88,7 @@ VSAN_BENCH_TOLERANCE="${VSAN_BENCH_TOLERANCE:-0.35}" \
   tools/run_bench.sh --gate build 2>&1 | tee bench_gate.txt
 
 echo "done: test_output.txt," \
-     "test_output_{asan,tsan,ubsan,fault,retrieval,autotune,http}.txt," \
+     "test_output_{asan_ubsan,tsan,fault,retrieval,autotune,http}.txt," \
      "test_output_serve{,_tsan}.txt," \
-     "test_output_chaos{,_tsan,_asan}.txt," \
+     "test_output_chaos{,_tsan}.txt," \
      "bench_output.txt, bench_gate.txt, build/bench/*.csv"

@@ -4,12 +4,14 @@
 #include <cmath>
 
 #include <fstream>
+#include <sstream>
 
 #include "autograd/ops.h"
 #include "data/batcher.h"
 #include "models/train_loop.h"
 #include "nn/serialize.h"
 #include "optim/adam.h"
+#include "util/fileio.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -287,7 +289,6 @@ bool Vsan::EncodeBatchInto(const std::vector<std::vector<int32_t>>& fold_ins,
   const int64_t count = static_cast<int64_t>(fold_ins.size());
   queries->resize(static_cast<size_t>(count * config_.d));
   if (count == 0) return true;
-  ScopedMatMulPrecision precision_guard(eval_precision());
   std::vector<int32_t> flat(static_cast<size_t>(count * config_.max_len));
   for (int64_t i = 0; i < count; ++i) {
     const std::vector<int32_t> padded =
@@ -309,7 +310,6 @@ std::vector<float> Vsan::ScoreWithSampledLatent(
     const std::vector<int32_t>& fold_in) const {
   VSAN_CHECK(net_ != nullptr) << "Fit() must be called before Score()";
   VSAN_CHECK(config_.use_latent) << "VSAN-z has no posterior to sample";
-  ScopedMatMulPrecision precision_guard(eval_precision());
   const std::vector<int32_t> padded =
       data::SequenceBatcher::PadSequence(fold_in, config_.max_len);
   Net::Outputs out =
@@ -354,9 +354,10 @@ Status Vsan::Save(const std::string& path) const {
   if (net_ == nullptr) {
     return Status::InvalidArgument("Fit() must be called before Save()");
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out.good()) return Status::NotFound(StrCat("cannot open ", path));
-  // Text header (one line) followed by the binary parameter blob.
+  // Text header (one line) followed by the binary parameter blob, built in
+  // memory and written atomically: a concurrent Load (a serving daemon's
+  // hot reload) sees the old file or the new one, never a torn one.
+  std::ostringstream out;
   out << "VSAN-CHECKPOINT v1 " << config_.max_len << " " << config_.d << " "
       << config_.h1 << " " << config_.h2 << " " << config_.num_heads << " "
       << config_.next_k << " "
@@ -365,7 +366,9 @@ Status Vsan::Save(const std::string& path) const {
       << config_.tie_output << " " << config_.use_latent << " "
       << config_.infer_ffn << " " << config_.gen_ffn << " " << num_items_
       << "\n";
-  return nn::SaveParameters(*net_, out);
+  const Status status = nn::SaveParameters(*net_, out);
+  if (!status.ok()) return status;
+  return AtomicWriteFile(path, out.str());
 }
 
 Result<std::unique_ptr<Vsan>> Vsan::Load(const std::string& path) {

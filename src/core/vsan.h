@@ -114,7 +114,8 @@ class Vsan : public SequentialRecommender {
 
   // Checkpointing: Save() persists the configuration, item count, and all
   // trained parameters; Load() reconstructs an identical, ready-to-score
-  // model.  Fit() must have been called before Save().
+  // model.  Fit() must have been called before Save(), which replaces
+  // `path` atomically (util/fileio.h AtomicWriteFile).
   Status Save(const std::string& path) const;
   static Result<std::unique_ptr<Vsan>> Load(const std::string& path);
 

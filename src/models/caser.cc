@@ -179,7 +179,6 @@ bool Caser::EncodeQueryInto(const std::vector<int32_t>& fold_in,
                             std::vector<float>* query) const {
   VSAN_CHECK(net_ != nullptr)
       << "Fit() must be called before EncodeQueryInto()";
-  ScopedMatMulPrecision precision_guard(eval_precision());
   const std::vector<int32_t> window =
       data::SequenceBatcher::PadSequence(fold_in, config_.window);
   Variable hidden = net_->Hidden(window, /*batch=*/1, &rng_);

@@ -99,7 +99,6 @@ bool Gru4Rec::EncodeQueryInto(const std::vector<int32_t>& fold_in,
                               std::vector<float>* query) const {
   VSAN_CHECK(net_ != nullptr)
       << "Fit() must be called before EncodeQueryInto()";
-  ScopedMatMulPrecision precision_guard(eval_precision());
   const std::vector<int32_t> padded = data::SequenceBatcher::PadSequence(
       fold_in, config_.max_len, /*pad_left=*/false);
   Variable hidden = net_->Encode(padded, /*batch=*/1, &rng_);

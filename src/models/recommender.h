@@ -169,10 +169,9 @@ class SequentialRecommender {
   // (the evaluator scores thousands of users in a loop) reuse one
   // allocation.  `scores` is resized to num_items + 1 and fully
   // overwritten.  The default is the one scoring path of every factorized
-  // model: EncodeQueryInto, then FactorizedHead::ScoreQueries, under an
-  // eval_precision() guard.  A model without a head falls back to its
-  // Score() override — so every model must provide a head or override
-  // Score().
+  // model: EncodeQueryInto, then FactorizedHead::ScoreQueries.  A model
+  // without a head falls back to its Score() override — so every model
+  // must provide a head or override Score().
   virtual void ScoreInto(const std::vector<int32_t>& fold_in,
                          std::vector<float>* scores) const {
     FactorizedHead head;
@@ -180,7 +179,6 @@ class SequentialRecommender {
       *scores = Score(fold_in);
       return;
     }
-    ScopedMatMulPrecision precision_guard(eval_precision());
     std::vector<float> query;
     VSAN_CHECK(EncodeQueryInto(fold_in, &query))
         << name() << ": a factorized head needs EncodeQueryInto";
@@ -238,25 +236,6 @@ class SequentialRecommender {
     }
     return true;
   }
-
-  // --- Inference precision ----------------------------------------------
-  //
-  // Operand-storage precision for the GEMMs inside Score / ScoreInto /
-  // EncodeQueryInto (tensor/gemm.h).  The scoring paths (the base ScoreInto
-  // and each model's encode) install a ScopedMatMulPrecision guard with
-  // this value *inside* the virtual call, so the setting follows the model
-  // onto whatever thread scores it (ScoreBatch fans ScoreInto out over
-  // pool workers) and can never leak into training: Fit() never consults
-  // it.  With kBf16, the accuracy cost
-  // is tracked — not assumed away — by the eval-delta test
-  // (tests/bf16_test.cc) and the EXPERIMENTS.md table.
-  void set_eval_precision(MatMulPrecision precision) {
-    eval_precision_ = precision;
-  }
-  MatMulPrecision eval_precision() const { return eval_precision_; }
-
- private:
-  MatMulPrecision eval_precision_ = MatMulPrecision::kFp32;
 };
 
 // Batched inference: scores every fold-in history and returns the score

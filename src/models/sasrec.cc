@@ -161,7 +161,6 @@ bool SasRec::EncodeBatchInto(const std::vector<std::vector<int32_t>>& fold_ins,
   const int64_t count = static_cast<int64_t>(fold_ins.size());
   queries->resize(static_cast<size_t>(count * config_.d));
   if (count == 0) return true;
-  ScopedMatMulPrecision precision_guard(eval_precision());
   std::vector<int32_t> flat(static_cast<size_t>(count * config_.max_len));
   for (int64_t i = 0; i < count; ++i) {
     const std::vector<int32_t> padded =

@@ -8,7 +8,6 @@
 
 #include "obs/trace.h"
 #include "tensor/autotune.h"
-#include "tensor/bf16.h"
 #include "tensor/gemm_microkernel.h"
 #include "util/thread_pool.h"
 
@@ -16,8 +15,6 @@ namespace vsan {
 namespace {
 
 using internal::GemmMicroKernel;
-using internal::GemmMicroKernelBf16;
-using internal::kBf16KPair;
 using internal::kMicroM;
 using internal::kMicroN;
 
@@ -60,11 +57,6 @@ GemmBlockSizes LoadBlockSizes() {
   return bs;
 }
 
-// Thread-local operand-storage precision (see gemm.h).  Captured once at
-// each public entry point and passed down as a template parameter, so pool
-// workers never consult their own (default-fp32) copy.
-thread_local MatMulPrecision t_precision = MatMulPrecision::kFp32;
-
 // ParallelFor grain in units of M blocks: a block is the atomic unit of
 // scheduling, so shard boundaries always fall between packed blocks and can
 // never split a micro-kernel tile.
@@ -78,10 +70,8 @@ int64_t GemmBlockGrain(int64_t mc, int64_t n, int64_t k) {
 // own A block and B panel, so shards share nothing but the read-only
 // operands and their disjoint rows of C.
 struct PackBuffers {
-  std::vector<float> a;      // mc x kc, kMicroM-row strips
-  std::vector<float> b;      // kc x nc, kMicroN-column strips
-  std::vector<Bf16> a16;     // mc x kc_even, pair-interleaved strips
-  std::vector<Bf16> b16;     // kc_even x nc, pair-interleaved strips
+  std::vector<float> a;  // mc x kc, kMicroM-row strips
+  std::vector<float> b;  // kc x nc, kMicroN-column strips
 };
 thread_local PackBuffers t_pack;
 
@@ -142,173 +132,42 @@ void PackB(const float* b, int64_t k, int64_t n, bool trans_b, int64_t pc,
   }
 }
 
-// bf16 packing: identical strip decomposition to PackA/PackB, but elements
-// are rounded to bf16 and K steps are interleaved in PAIRS —
-// dst[p2 * 2 * kMicroM + 2*i + parity] for A, dst[p2 * 2 * kMicroN + 2*j +
-// parity] for B — the operand layout GemmMicroKernelBf16 expects (one
-// aligned 32-bit unit per lane per pair; see gemm_microkernel.h).  An odd
-// trailing K step pads its pair partner with zero bits, and short strips
-// zero-pad rows/columns as in the fp32 pack, so kernels never branch on
-// extents and padded products are exact zeros.
-void PackABf16(const float* a, int64_t m, int64_t k, bool trans_a, int64_t ic,
-               int64_t pc, int64_t mb, int64_t kb, Bf16* out) {
-  const int64_t pairs = CeilDiv(kb, kBf16KPair);
-  const int64_t strips = CeilDiv(mb, kMicroM);
-  for (int64_t s = 0; s < strips; ++s) {
-    Bf16* dst = out + s * kMicroM * pairs * kBf16KPair;
-    const int64_t i0 = ic + s * kMicroM;
-    const int64_t rows = std::min<int64_t>(kMicroM, mb - s * kMicroM);
-    if (!trans_a) {
-      for (int64_t i = 0; i < rows; ++i) {
-        const float* src = a + (i0 + i) * k + pc;
-        for (int64_t p2 = 0; p2 < pairs; ++p2) {
-          Bf16* d = dst + p2 * kBf16KPair * kMicroM + kBf16KPair * i;
-          d[0] = Bf16FromFloat(src[p2 * 2]);
-          d[1] = (p2 * 2 + 1 < kb) ? Bf16FromFloat(src[p2 * 2 + 1])
-                                   : static_cast<Bf16>(0);
-        }
-      }
-    } else {
-      // A is [k, m]: op(A)(i, p) = a[p * m + i], contiguous in i.
-      for (int64_t p2 = 0; p2 < pairs; ++p2) {
-        const float* s0 = a + (pc + p2 * 2) * m + i0;
-        const float* s1 =
-            (p2 * 2 + 1 < kb) ? a + (pc + p2 * 2 + 1) * m + i0 : nullptr;
-        Bf16* d = dst + p2 * kBf16KPair * kMicroM;
-        for (int64_t i = 0; i < rows; ++i) {
-          d[kBf16KPair * i] = Bf16FromFloat(s0[i]);
-          d[kBf16KPair * i + 1] =
-              s1 ? Bf16FromFloat(s1[i]) : static_cast<Bf16>(0);
-        }
-      }
-    }
-    for (int64_t i = rows; i < kMicroM; ++i) {
-      for (int64_t p2 = 0; p2 < pairs; ++p2) {
-        Bf16* d = dst + p2 * kBf16KPair * kMicroM + kBf16KPair * i;
-        d[0] = 0;
-        d[1] = 0;
-      }
-    }
-  }
-}
-
-void PackBBf16(const float* b, int64_t k, int64_t n, bool trans_b, int64_t pc,
-               int64_t jc, int64_t kb, int64_t nb, Bf16* out) {
-  const int64_t pairs = CeilDiv(kb, kBf16KPair);
-  const int64_t strips = CeilDiv(nb, kMicroN);
-  for (int64_t t = 0; t < strips; ++t) {
-    Bf16* dst = out + t * kMicroN * pairs * kBf16KPair;
-    const int64_t j0 = jc + t * kMicroN;
-    const int64_t cols = std::min<int64_t>(kMicroN, nb - t * kMicroN);
-    if (!trans_b) {
-      for (int64_t p2 = 0; p2 < pairs; ++p2) {
-        const float* s0 = b + (pc + p2 * 2) * n + j0;
-        const float* s1 =
-            (p2 * 2 + 1 < kb) ? b + (pc + p2 * 2 + 1) * n + j0 : nullptr;
-        Bf16* d = dst + p2 * kBf16KPair * kMicroN;
-        for (int64_t j = 0; j < cols; ++j) {
-          d[kBf16KPair * j] = Bf16FromFloat(s0[j]);
-          d[kBf16KPair * j + 1] =
-              s1 ? Bf16FromFloat(s1[j]) : static_cast<Bf16>(0);
-        }
-        for (int64_t j = cols; j < kMicroN; ++j) {
-          d[kBf16KPair * j] = 0;
-          d[kBf16KPair * j + 1] = 0;
-        }
-      }
-    } else {
-      // B is [n, k]: op(B)(p, j) = b[j * k + p], contiguous in p.
-      for (int64_t j = 0; j < cols; ++j) {
-        const float* src = b + (j0 + j) * k + pc;
-        for (int64_t p2 = 0; p2 < pairs; ++p2) {
-          Bf16* d = dst + p2 * kBf16KPair * kMicroN + kBf16KPair * j;
-          d[0] = Bf16FromFloat(src[p2 * 2]);
-          d[1] = (p2 * 2 + 1 < kb) ? Bf16FromFloat(src[p2 * 2 + 1])
-                                   : static_cast<Bf16>(0);
-        }
-      }
-      for (int64_t j = cols; j < kMicroN; ++j) {
-        for (int64_t p2 = 0; p2 < pairs; ++p2) {
-          Bf16* d = dst + p2 * kBf16KPair * kMicroN + kBf16KPair * j;
-          d[0] = 0;
-          d[1] = 0;
-        }
-      }
-    }
-  }
-}
-
 // Runs the full jc/pc panel loops for M blocks [mblk0, mblk1) of one GEMM.
 // This is the whole kernel for one shard: K blocks are visited in ascending
 // order with C reloaded between them, so every element's accumulation chain
 // is the reference chain no matter how blocks are sharded.
-//
-// Templated on operand-storage precision.  The bf16 instantiation differs
-// only in pack format and micro-kernel: packed strips are pair-interleaved
-// bf16 with kb padded to a whole number of K pairs (the caller also rounds
-// kc itself to a pair multiple, so absolute pair boundaries — and therefore
-// the vdpbf16 in-pair sums — are identical for every block configuration),
-// while C is still spilled to fp32 between K blocks, which is
-// value-preserving.
-template <bool kUseBf16>
 void GemmBlockRange(const float* a, const float* b, float* c, int64_t m,
                     int64_t n, int64_t k, bool trans_a, bool trans_b,
                     int64_t ldc, const GemmBlockSizes& bs, int64_t mblk0,
                     int64_t mblk1) {
   PackBuffers& buf = t_pack;
-  if constexpr (kUseBf16) {
-    const int64_t kc_even = RoundUp(bs.kc, kBf16KPair);
-    buf.a16.resize(static_cast<size_t>(bs.mc * kc_even));
-    buf.b16.resize(static_cast<size_t>(kc_even * bs.nc));
-  } else {
-    buf.a.resize(static_cast<size_t>(bs.mc * bs.kc));
-    buf.b.resize(static_cast<size_t>(bs.kc * bs.nc));
-  }
+  buf.a.resize(static_cast<size_t>(bs.mc * bs.kc));
+  buf.b.resize(static_cast<size_t>(bs.kc * bs.nc));
   for (int64_t jc = 0; jc < n; jc += bs.nc) {
     const int64_t nb = std::min<int64_t>(bs.nc, n - jc);
     for (int64_t pc = 0; pc < k; pc += bs.kc) {
       const int64_t kb = std::min<int64_t>(bs.kc, k - pc);
-      // Packed K extent: the bf16 strips store whole pairs.
-      const int64_t kp = kUseBf16 ? RoundUp(kb, kBf16KPair) : kb;
       {
         VSAN_TRACE_SPAN("gemm/pack_b", kKernel);
-        if constexpr (kUseBf16) {
-          PackBBf16(b, k, n, trans_b, pc, jc, kb, nb, buf.b16.data());
-        } else {
-          PackB(b, k, n, trans_b, pc, jc, kb, nb, buf.b.data());
-        }
+        PackB(b, k, n, trans_b, pc, jc, kb, nb, buf.b.data());
       }
       for (int64_t blk = mblk0; blk < mblk1; ++blk) {
         const int64_t ic = blk * bs.mc;
         const int64_t mb = std::min<int64_t>(bs.mc, m - ic);
         {
           VSAN_TRACE_SPAN("gemm/pack_a", kKernel);
-          if constexpr (kUseBf16) {
-            PackABf16(a, m, k, trans_a, ic, pc, mb, kb, buf.a16.data());
-          } else {
-            PackA(a, m, k, trans_a, ic, pc, mb, kb, buf.a.data());
-          }
+          PackA(a, m, k, trans_a, ic, pc, mb, kb, buf.a.data());
         }
         VSAN_TRACE_SPAN("gemm/kernel", kKernel);
         for (int64_t jr = 0; jr < nb; jr += kMicroN) {
           const int64_t nr = std::min<int64_t>(kMicroN, nb - jr);
           for (int64_t ir = 0; ir < mb; ir += kMicroM) {
             const int64_t mr = std::min<int64_t>(kMicroM, mb - ir);
+            const float* ap = buf.a.data() + (ir / kMicroM) * kMicroM * kb;
+            const float* bp = buf.b.data() + (jr / kMicroN) * kMicroN * kb;
             float* ct = c + (ic + ir) * ldc + jc + jr;
-            const auto run = [&](float* ctile, int64_t ldct) {
-              if constexpr (kUseBf16) {
-                GemmMicroKernelBf16(
-                    buf.a16.data() + (ir / kMicroM) * kMicroM * kp,
-                    buf.b16.data() + (jr / kMicroN) * kMicroN * kp, kb, ctile,
-                    ldct);
-              } else {
-                GemmMicroKernel(buf.a.data() + (ir / kMicroM) * kMicroM * kp,
-                                buf.b.data() + (jr / kMicroN) * kMicroN * kp,
-                                kb, ctile, ldct);
-              }
-            };
             if (mr == kMicroM && nr == kMicroN) {
-              run(ct, ldc);
+              GemmMicroKernel(ap, bp, kb, ct, ldc);
             } else {
               // Edge tile: run the same kernel on a scratch tile so the
               // arithmetic (and therefore the bit pattern) matches the
@@ -319,7 +178,7 @@ void GemmBlockRange(const float* a, const float* b, float* c, int64_t m,
                   ctile[i * kMicroN + j] = ct[i * ldc + j];
                 }
               }
-              run(ctile, kMicroN);
+              GemmMicroKernel(ap, bp, kb, ctile, kMicroN);
               for (int64_t i = 0; i < mr; ++i) {
                 for (int64_t j = 0; j < nr; ++j) {
                   ct[i * ldc + j] = ctile[i * kMicroN + j];
@@ -333,47 +192,6 @@ void GemmBlockRange(const float* a, const float* b, float* c, int64_t m,
   }
 }
 
-// Shared bodies for the fp32/bf16 public entry points.  The bf16
-// instantiations round kc up to a K-pair multiple so absolute pair
-// boundaries never depend on where K blocks fall (Sanitize itself must not
-// do this: fp32 callers may legitimately sweep odd kc).
-template <bool kUseBf16>
-void GemmImpl(const float* a, const float* b, float* c, int64_t m, int64_t n,
-              int64_t k, bool trans_a, bool trans_b) {
-  GemmBlockSizes bs = LoadBlockSizes();
-  if (kUseBf16) bs.kc = RoundUp(bs.kc, kBf16KPair);
-  const int64_t mblocks = CeilDiv(m, bs.mc);
-  ParallelFor(0, mblocks, GemmBlockGrain(bs.mc, n, k),
-              [&](int64_t b0, int64_t b1) {
-                GemmBlockRange<kUseBf16>(a, b, c, m, n, k, trans_a, trans_b,
-                                         n, bs, b0, b1);
-              });
-}
-
-template <bool kUseBf16>
-void BatchedGemmImpl(const float* a, const float* b, float* c, int64_t batch,
-                     int64_t a_stride, int64_t b_stride, int64_t c_stride,
-                     int64_t m, int64_t n, int64_t k, bool trans_a,
-                     bool trans_b) {
-  GemmBlockSizes bs = LoadBlockSizes();
-  if (kUseBf16) bs.kc = RoundUp(bs.kc, kBf16KPair);
-  const int64_t mblocks = CeilDiv(m, bs.mc);
-  ParallelFor(
-      0, batch * mblocks, GemmBlockGrain(bs.mc, n, k),
-      [&](int64_t f0, int64_t f1) {
-        for (int64_t f = f0; f < f1;) {
-          const int64_t bi = f / mblocks;
-          const int64_t blk0 = f - bi * mblocks;
-          const int64_t blk1 =
-              std::min<int64_t>(mblocks, blk0 + (f1 - f));
-          GemmBlockRange<kUseBf16>(a + bi * a_stride, b + bi * b_stride,
-                                   c + bi * c_stride, m, n, k, trans_a,
-                                   trans_b, n, bs, blk0, blk1);
-          f += blk1 - blk0;
-        }
-      });
-}
-
 }  // namespace
 
 GemmBlockSizes GetGemmBlockSizes() { return LoadBlockSizes(); }
@@ -385,31 +203,18 @@ void SetGemmBlockSizes(const GemmBlockSizes& sizes) {
   g_block_sizes.kc.store(bs.kc, std::memory_order_relaxed);
 }
 
-MatMulPrecision GetMatMulPrecision() { return t_precision; }
-
-void SetMatMulPrecision(MatMulPrecision precision) {
-  t_precision = precision;
-}
-
-ScopedMatMulPrecision::ScopedMatMulPrecision(MatMulPrecision precision)
-    : prev_(t_precision) {
-  t_precision = precision;
-}
-
-ScopedMatMulPrecision::~ScopedMatMulPrecision() { t_precision = prev_; }
-
-const char* GemmBf16KernelVariant() { return VSAN_GEMM_BF16_KERNEL; }
-
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
           int64_t k, bool trans_a, bool trans_b) {
   if (m <= 0 || n <= 0 || k <= 0) return;  // C += 0
-  if (t_precision == MatMulPrecision::kBf16) {
-    GemmBf16(a, b, c, m, n, k, trans_a, trans_b);
-    return;
-  }
   autotune::EnsureGemmTuningFromEnv();
   VSAN_TRACE_SPAN("gemm/gemm", kKernel);
-  GemmImpl<false>(a, b, c, m, n, k, trans_a, trans_b);
+  const GemmBlockSizes bs = LoadBlockSizes();
+  const int64_t mblocks = CeilDiv(m, bs.mc);
+  ParallelFor(0, mblocks, GemmBlockGrain(bs.mc, n, k),
+              [&](int64_t b0, int64_t b1) {
+                GemmBlockRange(a, b, c, m, n, k, trans_a, trans_b, n, bs, b0,
+                               b1);
+              });
 }
 
 void BatchedGemm(const float* a, const float* b, float* c, int64_t batch,
@@ -417,34 +222,24 @@ void BatchedGemm(const float* a, const float* b, float* c, int64_t batch,
                  int64_t m, int64_t n, int64_t k, bool trans_a,
                  bool trans_b) {
   if (batch <= 0 || m <= 0 || n <= 0 || k <= 0) return;
-  if (t_precision == MatMulPrecision::kBf16) {
-    BatchedGemmBf16(a, b, c, batch, a_stride, b_stride, c_stride, m, n, k,
-                    trans_a, trans_b);
-    return;
-  }
   autotune::EnsureGemmTuningFromEnv();
   VSAN_TRACE_SPAN("gemm/batched_gemm", kKernel);
-  BatchedGemmImpl<false>(a, b, c, batch, a_stride, b_stride, c_stride, m, n,
-                         k, trans_a, trans_b);
-}
-
-void GemmBf16(const float* a, const float* b, float* c, int64_t m, int64_t n,
-              int64_t k, bool trans_a, bool trans_b) {
-  if (m <= 0 || n <= 0 || k <= 0) return;  // C += 0
-  autotune::EnsureGemmTuningFromEnv();
-  VSAN_TRACE_SPAN("gemm/gemm_bf16", kKernel);
-  GemmImpl<true>(a, b, c, m, n, k, trans_a, trans_b);
-}
-
-void BatchedGemmBf16(const float* a, const float* b, float* c, int64_t batch,
-                     int64_t a_stride, int64_t b_stride, int64_t c_stride,
-                     int64_t m, int64_t n, int64_t k, bool trans_a,
-                     bool trans_b) {
-  if (batch <= 0 || m <= 0 || n <= 0 || k <= 0) return;
-  autotune::EnsureGemmTuningFromEnv();
-  VSAN_TRACE_SPAN("gemm/batched_gemm_bf16", kKernel);
-  BatchedGemmImpl<true>(a, b, c, batch, a_stride, b_stride, c_stride, m, n,
-                        k, trans_a, trans_b);
+  const GemmBlockSizes bs = LoadBlockSizes();
+  const int64_t mblocks = CeilDiv(m, bs.mc);
+  ParallelFor(
+      0, batch * mblocks, GemmBlockGrain(bs.mc, n, k),
+      [&](int64_t f0, int64_t f1) {
+        for (int64_t f = f0; f < f1;) {
+          const int64_t bi = f / mblocks;
+          const int64_t blk0 = f - bi * mblocks;
+          const int64_t blk1 =
+              std::min<int64_t>(mblocks, blk0 + (f1 - f));
+          GemmBlockRange(a + bi * a_stride, b + bi * b_stride,
+                         c + bi * c_stride, m, n, k, trans_a, trans_b, n, bs,
+                         blk0, blk1);
+          f += blk1 - blk0;
+        }
+      });
 }
 
 void ReferenceGemm(const float* a, const float* b, float* c, int64_t m,

@@ -50,47 +50,6 @@ GemmBlockSizes GetGemmBlockSizes();
 // determinism note above).
 void SetGemmBlockSizes(const GemmBlockSizes& sizes);
 
-// --- Precision -------------------------------------------------------------
-//
-// Storage precision for the packed GEMM operands.  kBf16 packs the A/B
-// micro-panels as bfloat16 (tensor/bf16.h) — halving packed-panel bytes and
-// pack-loop bandwidth — while every product is accumulated in fp32 and C
-// stays fp32 end to end.  Intended for inference (eval / ScoreInto /
-// EncodeQueryInto); training code never switches away from kFp32.
-enum class MatMulPrecision {
-  kFp32 = 0,
-  kBf16 = 1,
-};
-
-// Thread-local precision knob consulted at Gemm/BatchedGemm entry.  Thread-
-// local (unlike the global block sizes) so an eval thread can run bf16
-// scoring while a trainer thread keeps fp32, with no synchronization.  The
-// value is captured once at kernel entry and passed down, so pool worker
-// threads executing shards inherit the caller's choice regardless of their
-// own thread-local state.
-MatMulPrecision GetMatMulPrecision();
-void SetMatMulPrecision(MatMulPrecision precision);
-
-// RAII guard for the thread-local precision: the model score paths wrap
-// their forward pass in ScopedMatMulPrecision(eval_precision()) so the
-// setting cannot leak into training code on the same thread.
-class ScopedMatMulPrecision {
- public:
-  explicit ScopedMatMulPrecision(MatMulPrecision precision);
-  ~ScopedMatMulPrecision();
-  ScopedMatMulPrecision(const ScopedMatMulPrecision&) = delete;
-  ScopedMatMulPrecision& operator=(const ScopedMatMulPrecision&) = delete;
-
- private:
-  MatMulPrecision prev_;
-};
-
-// Name of the compiled bf16 micro-kernel variant ("avx512bf16",
-// "vector-widen", or "scalar"); recorded by the bench harness because bf16
-// accumulation order — and therefore the exact bit pattern — is fixed per
-// variant, not across them.
-const char* GemmBf16KernelVariant();
-
 // C += op(A) * op(B), parallelized over M blocks on the global pool.
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
           int64_t k, bool trans_a, bool trans_b);
@@ -101,21 +60,6 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
 void BatchedGemm(const float* a, const float* b, float* c, int64_t batch,
                  int64_t a_stride, int64_t b_stride, int64_t c_stride,
                  int64_t m, int64_t n, int64_t k, bool trans_a, bool trans_b);
-
-// bf16-storage / fp32-accumulate variants.  Same blocking, sharding, and
-// edge-tile structure as Gemm/BatchedGemm, but the packed panels hold
-// round-to-nearest-even bf16 and the micro-kernel widens back to fp32 (see
-// gemm_microkernel.h for the per-variant accumulation-order contract).  kc
-// is rounded up to a multiple of the bf16 K-pair internally, so results are
-// bitwise-deterministic across thread counts and block-size sweeps on a
-// given build.  Callers normally reach these through the MatMulPrecision
-// knob rather than directly.
-void GemmBf16(const float* a, const float* b, float* c, int64_t m, int64_t n,
-              int64_t k, bool trans_a, bool trans_b);
-void BatchedGemmBf16(const float* a, const float* b, float* c, int64_t batch,
-                     int64_t a_stride, int64_t b_stride, int64_t c_stride,
-                     int64_t m, int64_t n, int64_t k, bool trans_a,
-                     bool trans_b);
 
 // Serial naive triple loop, retained as the accumulation-order
 // specification for the blocked kernel and as the oracle for its

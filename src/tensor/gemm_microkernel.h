@@ -5,12 +5,6 @@
 #include <cstdint>
 #include <cstring>
 
-#include "tensor/bf16.h"
-
-#if defined(__AVX512BF16__) && defined(__AVX512F__)
-#include <immintrin.h>
-#endif
-
 // The register-tiled inner kernel of the blocked GEMM (tensor/gemm.cc).
 //
 // Kept in its own header so the hot loop stays a single, self-contained
@@ -95,153 +89,6 @@ inline void GemmMicroKernel(const float* ap, const float* bp, int64_t kb,
 #else
         acc[i][j] += a_ip * b[j];
 #endif
-      }
-    }
-  }
-  for (int64_t i = 0; i < kMicroM; ++i) {
-    for (int64_t j = 0; j < kMicroN; ++j) c[i * ldc + j] = acc[i][j];
-  }
-}
-
-#endif
-
-// --- bf16-storage / fp32-accumulate micro-kernel ---------------------------
-//
-// Same 6x16 C tile as the fp32 kernel, but the packed A/B strips hold bf16
-// (tensor/bf16.h) at half the bytes; every product is still computed and
-// accumulated in fp32, and C stays fp32 end to end.
-//
-// Packed layout: K steps come in PAIRS.  Pair p2 of an A strip stores its
-// two steps interleaved per row, ap[p2*2*kMicroM + 2*i + {0,1}], and a B
-// strip stores bp[p2*2*kMicroN + 2*j + {0,1}] — i.e. the two bf16 values a
-// lane needs sit in one aligned 32-bit unit.  That is exactly the operand
-// shape of AVX-512 BF16's vdpbf16ps (one instruction computes, per fp32
-// lane, lo*lo + hi*hi and adds it to the accumulator), and the packing
-// routines in gemm.cc zero-pad odd K extents so kernels never branch on
-// parity (padded products are exact zeros).
-//
-// Accumulation-order contract (weaker than the fp32 kernel's): element
-// (i, j) starts from the value already in C and receives its K
-// contributions in ascending *pair* order.  Within a pair, the AVX-512 BF16
-// variant sums lo + hi products in hardware (single vdpbf16ps; bf16*bf16
-// products are exact in fp32 — 8-bit significands — so only the two adds
-// round), while the portable variants apply two rounded adds (lo first).
-// Each variant is therefore bitwise-deterministic across thread counts and
-// across block sizes with even kc (GemmBf16 in gemm.cc rounds kc up), but
-// the variants are not bitwise-identical to *each other* — bf16 results are
-// reproducible per build/host, not across ISAs.  Tests assert the
-// documented error bound against DotBf16 plus determinism, never exact
-// cross-variant equality.
-//
-// Note on subnormals: vdpbf16ps treats subnormal inputs as zero and
-// flushes subnormal outputs (it ignores MXCSR).  Packed panels come from
-// model weights/activations whose magnitudes sit far above the subnormal
-// range (< 2^-126), so this never fires in practice; the conversion
-// routines in bf16.h remain exact either way.
-
-// K steps per packed pair in the bf16 strip layouts.
-inline constexpr int64_t kBf16KPair = 2;
-
-#if defined(__AVX512BF16__) && defined(__AVX512F__)
-
-#define VSAN_GEMM_BF16_KERNEL "avx512bf16"
-
-inline void GemmMicroKernelBf16(const uint16_t* __restrict ap,
-                                const uint16_t* __restrict bp, int64_t kb,
-                                float* __restrict c, int64_t ldc) {
-  static_assert(kMicroN == 16, "vdpbf16ps kernel assumes one zmm per row");
-  __m512 acc[kMicroM];
-  for (int64_t i = 0; i < kMicroM; ++i) {
-    acc[i] = _mm512_loadu_ps(c + i * ldc);
-  }
-  const int64_t pairs = (kb + kBf16KPair - 1) / kBf16KPair;
-  for (int64_t p2 = 0; p2 < pairs; ++p2) {
-    const __m512bh bv = reinterpret_cast<__m512bh>(
-        _mm512_loadu_si512(bp + p2 * kBf16KPair * kMicroN));
-    const uint16_t* a = ap + p2 * kBf16KPair * kMicroM;
-    for (int64_t i = 0; i < kMicroM; ++i) {
-      int32_t pair;  // row i's (lo, hi) bf16 pair as one 32-bit broadcast
-      std::memcpy(&pair, a + kBf16KPair * i, sizeof(pair));
-      const __m512bh av =
-          reinterpret_cast<__m512bh>(_mm512_set1_epi32(pair));
-      acc[i] = _mm512_dpbf16_ps(acc[i], av, bv);
-    }
-  }
-  for (int64_t i = 0; i < kMicroM; ++i) {
-    _mm512_storeu_ps(c + i * ldc, acc[i]);
-  }
-}
-
-#elif defined(__GNUC__) || defined(__clang__)
-
-#define VSAN_GEMM_BF16_KERNEL "vector-widen"
-
-// Portable GNU-vector variant: deinterleave each packed pair with constant
-// shuffles, widen bf16 -> fp32 with a shift (exact), and apply the pair as
-// two multiply-adds per accumulator (lo then hi, each add rounded).
-inline void GemmMicroKernelBf16(const uint16_t* __restrict ap,
-                                const uint16_t* __restrict bp, int64_t kb,
-                                float* __restrict c, int64_t ldc) {
-  typedef float Vec __attribute__((vector_size(kMicroN * sizeof(float))));
-  typedef uint16_t VPair
-      __attribute__((vector_size(kBf16KPair * kMicroN * sizeof(uint16_t))));
-  typedef uint16_t VHalf
-      __attribute__((vector_size(kMicroN * sizeof(uint16_t))));
-  typedef uint32_t VWide
-      __attribute__((vector_size(kMicroN * sizeof(uint32_t))));
-  Vec acc[kMicroM];
-  for (int64_t i = 0; i < kMicroM; ++i) {
-    std::memcpy(&acc[i], c + i * ldc, sizeof(Vec));
-  }
-  const int64_t pairs = (kb + kBf16KPair - 1) / kBf16KPair;
-  for (int64_t p2 = 0; p2 < pairs; ++p2) {
-    VPair raw;
-    std::memcpy(&raw, bp + p2 * kBf16KPair * kMicroN, sizeof(raw));
-    const VHalf lo16 = __builtin_shufflevector(
-        raw, raw, 0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
-    const VHalf hi16 = __builtin_shufflevector(
-        raw, raw, 1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
-    const VWide lo32 = __builtin_convertvector(lo16, VWide) << 16;
-    const VWide hi32 = __builtin_convertvector(hi16, VWide) << 16;
-    Vec blo;
-    Vec bhi;
-    std::memcpy(&blo, &lo32, sizeof(blo));
-    std::memcpy(&bhi, &hi32, sizeof(bhi));
-    const uint16_t* a = ap + p2 * kBf16KPair * kMicroM;
-    for (int64_t i = 0; i < kMicroM; ++i) {
-      const float alo = Bf16ToFloat(a[kBf16KPair * i]);
-      const float ahi = Bf16ToFloat(a[kBf16KPair * i + 1]);
-      acc[i] += alo * blo;
-      acc[i] += ahi * bhi;
-    }
-  }
-  for (int64_t i = 0; i < kMicroM; ++i) {
-    std::memcpy(c + i * ldc, &acc[i], sizeof(Vec));
-  }
-}
-
-#else
-
-#define VSAN_GEMM_BF16_KERNEL "scalar"
-
-// Scalar fallback, same pair layout and same lo-then-hi add order as the
-// vector-widen variant.
-inline void GemmMicroKernelBf16(const uint16_t* ap, const uint16_t* bp,
-                                int64_t kb, float* c, int64_t ldc) {
-  float acc[kMicroM][kMicroN];
-  for (int64_t i = 0; i < kMicroM; ++i) {
-    for (int64_t j = 0; j < kMicroN; ++j) acc[i][j] = c[i * ldc + j];
-  }
-  const int64_t pairs = (kb + kBf16KPair - 1) / kBf16KPair;
-  for (int64_t p2 = 0; p2 < pairs; ++p2) {
-    const uint16_t* a = ap + p2 * kBf16KPair * kMicroM;
-    const uint16_t* b = bp + p2 * kBf16KPair * kMicroN;
-    for (int64_t i = 0; i < kMicroM; ++i) {
-      const float alo = Bf16ToFloat(a[kBf16KPair * i]);
-      const float ahi = Bf16ToFloat(a[kBf16KPair * i + 1]);
-      for (int64_t j = 0; j < kMicroN; ++j) {
-        acc[i][j] += alo * Bf16ToFloat(b[kBf16KPair * j]);
-        acc[i][j] += ahi * Bf16ToFloat(b[kBf16KPair * j + 1]);
       }
     }
   }

@@ -141,7 +141,11 @@ class ChaosServeTest : public ::testing::Test {
     train.epochs = 1;
     train.batch_size = 16;
     model_->Fit(dataset_, train);
-    checkpoint_ = ::testing::TempDir() + "/serve_chaos_model.ckpt";
+    // One checkpoint per test: ctest runs each case as its own process, so
+    // a shared path would let one case's Save race another's reload.
+    const char* test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    checkpoint_ = ::testing::TempDir() + "/serve_chaos_" + test + ".ckpt";
     ASSERT_TRUE(model_->Save(checkpoint_).ok());
   }
 

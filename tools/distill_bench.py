@@ -13,10 +13,8 @@ Two modes, both invoked by tools/run_bench.sh:
       BENCH_autotune.json.  Records from the first file are tagged
       blocks=default, from the second blocks=tuned.
 
-One record per benchmark with op, shape, threads, ns/iter, GFLOP/s for the
-GEMM family (items_processed counts multiply-adds, FLOPs = 2 * items), and
-`precision` (fp32 | bf16) on GEMM records so the bf16 storage path's rows
-pair up with their fp32 twins at equal shapes.
+One record per benchmark with op, shape, threads, ns/iter, and GFLOP/s for
+the GEMM family (items_processed counts multiply-adds, FLOPs = 2 * items).
 """
 
 import json
@@ -26,7 +24,7 @@ import sys
 # sweep in bench/*.cc).  Everything else is single-thread.
 THREADED = {
     "BM_MatMul2D", "BM_MatMul2DTransposed", "BM_BatchedMatMul",
-    "BM_GemmBf16", "BM_SoftmaxLastDim", "BM_AttentionBlockForward",
+    "BM_SoftmaxLastDim", "BM_AttentionBlockForward",
     "BM_VsanTrainEpoch_SeqLen", "BM_VsanTrainEpoch_Dim",
     "BM_SasRecTrainEpoch_SeqLen", "BM_Gru4RecTrainEpoch_SeqLen",
     "BM_EvaluateRanking",
@@ -35,7 +33,7 @@ THREADED = {
 # FLOPs/s = 2 * items/s.
 GEMM_OPS = {
     "BM_MatMul2D", "BM_MatMul2DTransposed", "BM_MatMul2DBlockSweep",
-    "BM_BatchedMatMul", "BM_GemmBf16", "BM_GemmModelShape",
+    "BM_BatchedMatMul", "BM_GemmModelShape",
 }
 # Names ScoreBatch/logits/attention shapes in BM_GemmModelShape's args, in
 # registration order (bench/bench_micro_ops.cc).
@@ -52,7 +50,6 @@ def parse_record(b):
         return None
     parts = b["name"].split("/")
     op, args = parts[0], parts[1:]
-    precision = None
     if op in THREADED and args:
         threads = int(args[-1])
         shape = "x".join(args[:-1]) or "-"
@@ -60,12 +57,11 @@ def parse_record(b):
         threads = 1
         shape = "256x256x256 mc={} nc={} kc={}".format(*args)
     elif op == "BM_GemmModelShape":
-        # Args are (m, n, k, precision-flag); name the known model shapes.
+        # Args are (m, n, k); name the known model shapes.
         threads = 1
-        m, n, k, prec = (int(a) for a in args)
+        m, n, k = (int(a) for a in args)
         name = MODEL_SHAPE_NAMES.get((m, n, k))
         shape = f"{m}x{n}x{k}" + (f" ({name})" if name else "")
-        precision = "bf16" if prec else "fp32"
     else:
         threads = 1
         shape = "x".join(args) or "-"
@@ -77,14 +73,8 @@ def parse_record(b):
         "ns_per_iter": round(
             b["real_time"] * unit_ns[b.get("time_unit", "ns")], 1),
     }
-    if op in GEMM_OPS:
-        if precision is None:
-            precision = "bf16" if op == "BM_GemmBf16" else "fp32"
-        rec["precision"] = precision
-        if "items_per_second" in b:
-            rec["gflops"] = round(2.0 * b["items_per_second"] / 1e9, 2)
-    if op == "BM_GemmBf16" and b.get("label"):
-        rec["kernel"] = b["label"]
+    if op in GEMM_OPS and "items_per_second" in b:
+        rec["gflops"] = round(2.0 * b["items_per_second"] / 1e9, 2)
     if op == "BM_AllocChurn":
         if "pool_hit_rate" in b:
             rec["pool_hit_rate"] = round(b["pool_hit_rate"], 4)

@@ -14,10 +14,6 @@
 #   tools/run_bench.sh --serve [build_dir]
 #   tools/run_bench.sh --gate [build_dir] [benchmark_filter]
 #
-# The distilled records carry a `precision` field on the GEMM family
-# (fp32, or bf16 for BM_GemmBf16 and the bf16 rows of BM_GemmModelShape),
-# so fp32/bf16 pairs at equal shapes sit side by side in the file.
-#
 # If the google-benchmark library itself was a debug build (distro packages
 # often are; the binary self-reports via library_build_type), the script
 # warns — the project code is still Release, but the measurement loop
@@ -46,11 +42,12 @@
 # default; override with VSAN_BENCH_TOLERANCE=0.25).  The baseline file is
 # never overwritten; exit status 1 on any regression.
 #
-# --retrieval: run the million-item recall-vs-speedup sweep
-# (bench/bench_retrieval.cc) and land its JSON curve in
-# BENCH_retrieval.json at the repo root — exact baseline, quantized scan,
-# and the IVF nprobe frontier, single-thread.  The checked-in file is the
-# regression reference for the >= 10x quantized speedup claim.
+# --retrieval: run the recall-vs-speedup sweep (bench/bench_retrieval.cc)
+# and land its JSON curves in BENCH_retrieval.json at the repo root — exact
+# head scan, quantized scan, and the IVF nprobe frontier, single-thread, on
+# a million-item uniform table and on VSAN item tables trained on the
+# ML-1M-like and Beauty-like presets (the records' `table` field).  The
+# checked-in file is the reference for the quantized and IVF claims.
 #
 # --serve: latency-vs-QPS curves for the serving daemon.  Trains a vsan
 # checkpoint on the full-scale beauty corpus (12k items, d=64, a
@@ -294,7 +291,7 @@ if [[ "${1:-}" == "--autotune" ]]; then
   trap 'rm -f "$TUNE_CONFIG" "$DEFAULT_JSON" "$TUNED_JSON"' EXIT
   "$BUILD_DIR/tools/autotune" --out="$TUNE_CONFIG" \
     --budget-ms="${VSAN_AUTOTUNE_BUDGET_MS:-15000}" --apply-check
-  GEMM_FILTER='BM_MatMul2D|BM_BatchedMatMul|BM_GemmBf16|BM_GemmModelShape'
+  GEMM_FILTER='BM_MatMul2D|BM_BatchedMatMul|BM_GemmModelShape'
   "$BUILD_DIR/bench/bench_micro_ops" --benchmark_format=json \
     --benchmark_filter="$GEMM_FILTER" > "$DEFAULT_JSON"
   check_bench_library "$DEFAULT_JSON"

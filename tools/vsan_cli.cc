@@ -32,7 +32,6 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "tensor/autotune.h"
-#include "tensor/gemm.h"
 #include "util/flags.h"
 #include "util/string_util.h"
 
@@ -44,20 +43,21 @@ int Usage() {
       "usage: vsan_cli <command> [flags]\n"
       "commands:\n"
       "  train      --dataset=beauty|ml1m|<file> [--format=movielens|amazon-csv]\n"
+      "             [--min-rating=4] [--k-core=5]\n"
       "             [--model=vsan|sasrec|gru4rec|caser|svae|pop|bpr|fpmc|transrec]\n"
       "             [--scale=0.05] [--epochs=20] [--d=32] [--max-len=30]\n"
-      "             [--h1=1] [--h2=1] [--k=1] [--dropout=0.2] [--lr=0.001]\n"
-      "             [--batch=64] [--seed=7] [--heldout=50] [--save=path]\n"
+      "             [--h1=1] [--h2=1] [--k=1] [--beta=0.002] [--dropout=0.2]\n"
+      "             [--lr=0.001] [--batch=64] [--seed=7] [--heldout=50]\n"
+      "             [--save=path (vsan only)]\n"
       "             [--telemetry_out=train.jsonl] [--trace_out=trace.json]\n"
       "             [--checkpoint_dir=dir] [--checkpoint_every=1] [--resume]\n"
       "             [--on_divergence=skip|abort|rollback]\n"
       "             [--metrics-port=9108] [--profile_out=train.folded]\n"
-      "  evaluate   --load=ckpt --dataset=... [--heldout=50] [--seed=7]\n"
+      "  evaluate   --load=ckpt [--dataset, --format, --min-rating, --k-core,\n"
+      "             --scale, --heldout and --seed as for train]\n"
       "             [--retrieval=exact|quantized|ivf] [--clusters=0]\n"
-      "             [--nprobe=8] [--precision=fp32|bf16]\n"
-      "             [--metrics-port=9108]\n"
+      "             [--nprobe=8] [--metrics-port=9108]\n"
       "  recommend  --load=ckpt --history=1,2,3 [--topn=10]\n"
-      "             [--precision=fp32|bf16]\n"
       "  inspect    --load=ckpt --history=1,2,3\n"
       "global flags:\n"
       "  --tune-config=path   apply a VSANTUNE1 GEMM config (tools/autotune;\n"
@@ -65,41 +65,61 @@ int Usage() {
   return 2;
 }
 
-// --precision=fp32|bf16: operand-storage precision for the model's scoring
-// GEMMs (tensor/gemm.h).  Inference-only; training always runs fp32.
-bool ApplyPrecisionFlag(const FlagParser& flags,
-                        SequentialRecommender* model) {
-  const std::string precision = flags.GetString("precision", "fp32");
-  if (precision == "fp32") return true;
-  if (precision == "bf16") {
-    model->set_eval_precision(MatMulPrecision::kBf16);
-    return true;
-  }
-  std::cerr << "error: --precision must be fp32|bf16\n";
-  return false;
+// Call once a command has read every flag it takes: a flag left over is a
+// typo or belongs to another command, and silently ignoring it would run
+// something other than what was asked.
+bool HasUnknownFlags(const FlagParser& flags) {
+  const std::vector<std::string> unknown = flags.UnqueriedFlags();
+  if (unknown.empty()) return false;
+  std::cerr << "error: unknown flag --" << unknown.front() << "\n";
+  return true;
 }
 
-Result<data::SequenceDataset> LoadDataset(const FlagParser& flags) {
-  const std::string dataset = flags.GetString("dataset", "beauty");
-  const double scale = flags.GetDouble("scale", 0.05);
-  if (dataset == "beauty") {
-    return data::GenerateSynthetic(data::BeautyLikeConfig(scale));
-  }
-  if (dataset == "ml1m") {
-    return data::GenerateSynthetic(data::ML1MLikeConfig(scale));
-  }
+// Dataset and split flags shared by train and evaluate.  The file-only
+// ones are read even for the synthetic presets, so every command can check
+// for unknown flags before it does any work.
+struct DatasetFlags {
+  std::string dataset;
+  double scale = 0.0;
+  std::string format;
   data::PreprocessOptions pre;
-  pre.min_rating = flags.GetDouble("min-rating", 4.0);
-  pre.k_core = static_cast<int32_t>(flags.GetInt("k-core", 5));
-  return data::LoadRatingsFile(dataset,
-                               flags.GetString("format", "movielens"), pre);
+  data::SplitOptions split;
+};
+
+DatasetFlags ReadDatasetFlags(const FlagParser& flags) {
+  DatasetFlags out;
+  out.dataset = flags.GetString("dataset", "beauty");
+  out.scale = flags.GetDouble("scale", 0.05);
+  out.format = flags.GetString("format", "movielens");
+  out.pre.min_rating = flags.GetDouble("min-rating", 4.0);
+  out.pre.k_core = static_cast<int32_t>(flags.GetInt("k-core", 5));
+  const int32_t heldout = static_cast<int32_t>(flags.GetInt("heldout", 50));
+  out.split.num_validation_users = heldout;
+  out.split.num_test_users = heldout;
+  out.split.seed = flags.GetInt("seed", 7);
+  return out;
 }
 
+Result<data::SequenceDataset> LoadDataset(const DatasetFlags& flags) {
+  if (flags.dataset == "beauty") {
+    return data::GenerateSynthetic(data::BeautyLikeConfig(flags.scale));
+  }
+  if (flags.dataset == "ml1m") {
+    return data::GenerateSynthetic(data::ML1MLikeConfig(flags.scale));
+  }
+  return data::LoadRatingsFile(flags.dataset, flags.format, flags.pre);
+}
+
+// Reads every model flag whichever model is chosen (see DatasetFlags).
 std::unique_ptr<SequentialRecommender> MakeModel(const FlagParser& flags) {
   const std::string name = flags.GetString("model", "vsan");
   const int64_t d = flags.GetInt("d", 32);
   const int64_t max_len = flags.GetInt("max-len", 30);
   const float dropout = static_cast<float>(flags.GetDouble("dropout", 0.2));
+  const int32_t h1 = static_cast<int32_t>(flags.GetInt("h1", 1));
+  const int32_t h2 = static_cast<int32_t>(flags.GetInt("h2", 1));
+  const int32_t next_k = static_cast<int32_t>(flags.GetInt("k", 1));
+  const float beta = static_cast<float>(flags.GetDouble("beta", 0.002));
   if (name == "pop") return std::make_unique<models::Pop>();
   if (name == "bpr") return std::make_unique<models::Bpr>(models::Bpr::Config{.d = d});
   if (name == "fpmc") {
@@ -135,7 +155,7 @@ std::unique_ptr<SequentialRecommender> MakeModel(const FlagParser& flags) {
     models::SasRec::Config cfg;
     cfg.max_len = max_len;
     cfg.d = d;
-    cfg.num_blocks = static_cast<int32_t>(flags.GetInt("h1", 1));
+    cfg.num_blocks = h1;
     cfg.dropout = dropout;
     return std::make_unique<models::SasRec>(cfg);
   }
@@ -143,11 +163,11 @@ std::unique_ptr<SequentialRecommender> MakeModel(const FlagParser& flags) {
     core::VsanConfig cfg;
     cfg.max_len = max_len;
     cfg.d = d;
-    cfg.h1 = static_cast<int32_t>(flags.GetInt("h1", 1));
-    cfg.h2 = static_cast<int32_t>(flags.GetInt("h2", 1));
-    cfg.next_k = static_cast<int32_t>(flags.GetInt("k", 1));
+    cfg.h1 = h1;
+    cfg.h2 = h2;
+    cfg.next_k = next_k;
     cfg.dropout = dropout;
-    cfg.beta_max = static_cast<float>(flags.GetDouble("beta", 0.002));
+    cfg.beta_max = beta;
     return std::make_unique<core::Vsan>(cfg);
   }
   return nullptr;
@@ -157,8 +177,7 @@ std::unique_ptr<SequentialRecommender> MakeModel(const FlagParser& flags) {
 // for the duration of the command (obs/http_server.h; vsan_top attaches
 // here).  Returns false when the port cannot be bound; a zero/absent flag
 // leaves the server off.
-bool MaybeStartMetricsServer(const FlagParser& flags, obs::HttpServer* server) {
-  const int64_t port = flags.GetInt("metrics-port", 0);
+bool MaybeStartMetricsServer(int64_t port, obs::HttpServer* server) {
   if (port <= 0) return true;
   obs::HttpServerOptions options;
   options.port = static_cast<int>(port);
@@ -187,38 +206,30 @@ std::vector<int32_t> ParseHistory(const std::string& csv) {
 }
 
 int Train(const FlagParser& flags) {
-  Result<data::SequenceDataset> dataset = LoadDataset(flags);
-  if (!dataset.ok()) {
-    std::cerr << "error: " << dataset.status().ToString() << "\n";
-    return 1;
-  }
-  std::cout << dataset.value().Summary("dataset") << "\n";
-
-  data::SplitOptions split_opts;
-  const int32_t heldout = static_cast<int32_t>(flags.GetInt("heldout", 50));
-  split_opts.num_validation_users = heldout;
-  split_opts.num_test_users = heldout;
-  split_opts.seed = flags.GetInt("seed", 7);
-  const data::StrongSplit split =
-      data::MakeStrongSplit(dataset.value(), split_opts);
-
+  const DatasetFlags data_flags = ReadDatasetFlags(flags);
   std::unique_ptr<SequentialRecommender> model = MakeModel(flags);
-  if (model == nullptr) {
-    std::cerr << "error: unknown --model\n";
-    return Usage();
-  }
-
   TrainOptions train_opts;
   train_opts.epochs = static_cast<int32_t>(flags.GetInt("epochs", 20));
   train_opts.batch_size = flags.GetInt("batch", 64);
   train_opts.learning_rate = static_cast<float>(flags.GetDouble("lr", 1e-3));
-  train_opts.seed = flags.GetInt("seed", 7) + 101;
+  train_opts.seed = data_flags.split.seed + 101;
   // Crash safety: periodic full checkpoints and resume (see nn/checkpoint.h).
   train_opts.checkpoint_dir = flags.GetString("checkpoint_dir");
   train_opts.checkpoint_every_n_epochs =
       static_cast<int32_t>(flags.GetInt("checkpoint_every", 1));
   train_opts.resume = flags.GetBool("resume", false);
   const std::string on_divergence = flags.GetString("on_divergence", "skip");
+  const std::string telemetry_out = flags.GetString("telemetry_out");
+  const int64_t metrics_port = flags.GetInt("metrics-port", 0);
+  const std::string trace_out = flags.GetString("trace_out");
+  const std::string profile_out = flags.GetString("profile_out");
+  const std::string save_path = flags.GetString("save");
+  if (HasUnknownFlags(flags)) return Usage();
+
+  if (model == nullptr) {
+    std::cerr << "error: unknown --model\n";
+    return Usage();
+  }
   if (on_divergence == "abort") {
     train_opts.divergence_policy = DivergencePolicy::kAbort;
   } else if (on_divergence == "rollback") {
@@ -230,6 +241,21 @@ int Train(const FlagParser& flags) {
     std::cerr << "error: --on_divergence must be skip|abort|rollback\n";
     return Usage();
   }
+  auto* vsan_model = dynamic_cast<core::Vsan*>(model.get());
+  if (!save_path.empty() && vsan_model == nullptr) {
+    std::cerr << "error: --save currently supports --model=vsan only\n";
+    return 1;
+  }
+
+  Result<data::SequenceDataset> dataset = LoadDataset(data_flags);
+  if (!dataset.ok()) {
+    std::cerr << "error: " << dataset.status().ToString() << "\n";
+    return 1;
+  }
+  std::cout << dataset.value().Summary("dataset") << "\n";
+  const data::StrongSplit split =
+      data::MakeStrongSplit(dataset.value(), data_flags.split);
+
   train_opts.epoch_callback = [](const EpochStats& stats) {
     std::cout << "epoch " << stats.epoch << " loss "
               << FormatDouble(stats.loss, 4) << " ("
@@ -239,7 +265,6 @@ int Train(const FlagParser& flags) {
 
   // Per-epoch JSONL telemetry (loss decomposition, grad norm, timings).
   std::unique_ptr<obs::TelemetryRecorder> telemetry;
-  const std::string telemetry_out = flags.GetString("telemetry_out");
   if (!telemetry_out.empty()) {
     telemetry = std::make_unique<obs::TelemetryRecorder>(telemetry_out);
     if (!telemetry->ok()) {
@@ -251,15 +276,13 @@ int Train(const FlagParser& flags) {
   }
 
   obs::HttpServer metrics_server;
-  if (!MaybeStartMetricsServer(flags, &metrics_server)) return 1;
+  if (!MaybeStartMetricsServer(metrics_port, &metrics_server)) return 1;
 
   // Chrome-trace span capture around training (open in Perfetto).
-  const std::string trace_out = flags.GetString("trace_out");
   if (!trace_out.empty()) obs::Tracer::Global().StartSession({});
 
   // Sampling CPU profiler around training (obs/profiler.h); the folded
   // stacks feed flamegraph.pl / speedscope directly.
-  const std::string profile_out = flags.GetString("profile_out");
   if (!profile_out.empty() && !obs::SamplingProfiler::Global().Start()) {
     std::cerr << "error: cannot start profiler for --profile_out "
               << "(built with -DVSAN_OBS=OFF?)\n";
@@ -295,13 +318,7 @@ int Train(const FlagParser& flags) {
   std::cout << model->name() << " validation: " << val.ToString() << "\n";
   std::cout << model->name() << " test:       " << test.ToString() << "\n";
 
-  const std::string save_path = flags.GetString("save");
   if (!save_path.empty()) {
-    auto* vsan_model = dynamic_cast<core::Vsan*>(model.get());
-    if (vsan_model == nullptr) {
-      std::cerr << "error: --save currently supports --model=vsan only\n";
-      return 1;
-    }
     const Status s = vsan_model->Save(save_path);
     if (!s.ok()) {
       std::cerr << "error: " << s.ToString() << "\n";
@@ -313,12 +330,29 @@ int Train(const FlagParser& flags) {
 }
 
 int Evaluate(const FlagParser& flags) {
-  auto loaded = core::Vsan::Load(flags.GetString("load"));
+  const std::string load = flags.GetString("load");
+  const DatasetFlags data_flags = ReadDatasetFlags(flags);
+  // Retrieval backend for the ranking pass (eval/retrieval.h): "exact" is
+  // the full-scoring oracle; "quantized" / "ivf" trade exactness for speed
+  // and fall back to exact when the model exposes no factorized head.
+  eval::EvalOptions eval_opts;
+  const std::string backend = flags.GetString("retrieval", "exact");
+  eval_opts.retrieval.clusters =
+      static_cast<int32_t>(flags.GetInt("clusters", 0));
+  eval_opts.retrieval.nprobe = static_cast<int32_t>(flags.GetInt("nprobe", 8));
+  const int64_t metrics_port = flags.GetInt("metrics-port", 0);
+  if (HasUnknownFlags(flags)) return Usage();
+  if (!eval::ParseRetrievalBackend(backend, &eval_opts.retrieval.backend)) {
+    std::cerr << "error: --retrieval must be exact|quantized|ivf\n";
+    return Usage();
+  }
+
+  auto loaded = core::Vsan::Load(load);
   if (!loaded.ok()) {
     std::cerr << "error: " << loaded.status().ToString() << "\n";
     return 1;
   }
-  Result<data::SequenceDataset> dataset = LoadDataset(flags);
+  Result<data::SequenceDataset> dataset = LoadDataset(data_flags);
   if (!dataset.ok()) {
     std::cerr << "error: " << dataset.status().ToString() << "\n";
     return 1;
@@ -329,28 +363,10 @@ int Evaluate(const FlagParser& flags) {
               << loaded.value()->num_items() << "\n";
     return 1;
   }
-  data::SplitOptions split_opts;
-  const int32_t heldout = static_cast<int32_t>(flags.GetInt("heldout", 50));
-  split_opts.num_validation_users = heldout;
-  split_opts.num_test_users = heldout;
-  split_opts.seed = flags.GetInt("seed", 7);
   const data::StrongSplit split =
-      data::MakeStrongSplit(dataset.value(), split_opts);
-  // Retrieval backend for the ranking pass (eval/retrieval.h): "exact" is
-  // the full-scoring oracle; "quantized" / "ivf" trade exactness for speed
-  // and fall back to exact when the model exposes no factorized head.
-  eval::EvalOptions eval_opts;
-  const std::string backend = flags.GetString("retrieval", "exact");
-  if (!eval::ParseRetrievalBackend(backend, &eval_opts.retrieval.backend)) {
-    std::cerr << "error: --retrieval must be exact|quantized|ivf\n";
-    return Usage();
-  }
-  eval_opts.retrieval.clusters =
-      static_cast<int32_t>(flags.GetInt("clusters", 0));
-  eval_opts.retrieval.nprobe = static_cast<int32_t>(flags.GetInt("nprobe", 8));
-  if (!ApplyPrecisionFlag(flags, loaded.value().get())) return Usage();
+      data::MakeStrongSplit(dataset.value(), data_flags.split);
   obs::HttpServer metrics_server;
-  if (!MaybeStartMetricsServer(flags, &metrics_server)) return 1;
+  if (!MaybeStartMetricsServer(metrics_port, &metrics_server)) return 1;
   const eval::EvalResult r =
       eval::EvaluateRanking(*loaded.value(), split.test, eval_opts);
   std::cout << loaded.value()->name() << " test: " << r.ToString() << "\n";
@@ -358,18 +374,20 @@ int Evaluate(const FlagParser& flags) {
 }
 
 int Recommend(const FlagParser& flags) {
-  auto loaded = core::Vsan::Load(flags.GetString("load"));
-  if (!loaded.ok()) {
-    std::cerr << "error: " << loaded.status().ToString() << "\n";
-    return 1;
-  }
+  const std::string load = flags.GetString("load");
   const std::vector<int32_t> history =
       ParseHistory(flags.GetString("history"));
+  const int32_t topn = static_cast<int32_t>(flags.GetInt("topn", 10));
+  if (HasUnknownFlags(flags)) return Usage();
   if (history.empty()) {
     std::cerr << "error: --history=1,2,3 required\n";
     return Usage();
   }
-  if (!ApplyPrecisionFlag(flags, loaded.value().get())) return Usage();
+  auto loaded = core::Vsan::Load(load);
+  if (!loaded.ok()) {
+    std::cerr << "error: " << loaded.status().ToString() << "\n";
+    return 1;
+  }
   const std::vector<float> scores = loaded.value()->Score(history);
   std::vector<bool> excluded(scores.size(), false);
   excluded[data::kPaddingItem] = true;
@@ -378,7 +396,6 @@ int Recommend(const FlagParser& flags) {
       excluded[item] = true;
     }
   }
-  const int32_t topn = static_cast<int32_t>(flags.GetInt("topn", 10));
   for (int32_t item : eval::TopNIndices(scores, excluded, topn)) {
     std::cout << item << "\t" << FormatDouble(scores[item], 4) << "\n";
   }
@@ -386,16 +403,18 @@ int Recommend(const FlagParser& flags) {
 }
 
 int Inspect(const FlagParser& flags) {
-  auto loaded = core::Vsan::Load(flags.GetString("load"));
-  if (!loaded.ok()) {
-    std::cerr << "error: " << loaded.status().ToString() << "\n";
-    return 1;
-  }
+  const std::string load = flags.GetString("load");
   const std::vector<int32_t> history =
       ParseHistory(flags.GetString("history"));
+  if (HasUnknownFlags(flags)) return Usage();
   if (history.empty()) {
     std::cerr << "error: --history=1,2,3 required\n";
     return Usage();
+  }
+  auto loaded = core::Vsan::Load(load);
+  if (!loaded.ok()) {
+    std::cerr << "error: " << loaded.status().ToString() << "\n";
+    return 1;
   }
   const core::PosteriorStats stats =
       loaded.value()->InspectPosterior(history);

@@ -34,7 +34,6 @@
 #include "eval/retrieval.h"
 #include "obs/trace.h"
 #include "serve/daemon.h"
-#include "tensor/gemm.h"
 #include "util/flags.h"
 
 #if defined(_WIN32)
@@ -60,8 +59,7 @@ int Usage() {
       "  --max-history=1024     reject (HTTP 400) histories longer than this\n"
       "  --deadline-us=0        default per-request deadline (0 = none;\n"
       "                         requests may override via deadline_us)\n"
-      "  --include-seen         do not filter the user's history from results\n"
-      "  --precision=fp32       fp32|bf16 encoder GEMM storage precision\n";
+      "  --include-seen         do not filter the user's history from results\n";
   return 2;
 }
 
@@ -89,13 +87,6 @@ int Main(int argc, char** argv) {
     return 1;
   }
   std::unique_ptr<core::Vsan> model = std::move(loaded).value();
-  const std::string precision = flags.GetString("precision", "fp32");
-  if (precision == "bf16") {
-    model->set_eval_precision(MatMulPrecision::kBf16);
-  } else if (precision != "fp32") {
-    std::cerr << "error: --precision must be fp32|bf16\n";
-    return 1;
-  }
 
   serve::DaemonOptions options;
   options.port = static_cast<int>(flags.GetInt("port", 0));
@@ -121,14 +112,12 @@ int Main(int argc, char** argv) {
   options.retrieval.nprobe = static_cast<int32_t>(flags.GetInt("nprobe", 8));
 
   // Hot reload (POST /reload, SIGHUP): load through the same CRC-checked
-  // VSANCKP1 path as startup, with the same eval precision.
+  // VSANCKP1 path as startup.
   options.checkpoint_path = checkpoint;
-  options.loader = [precision](const std::string& path,
-                               serve::LoadedModel* out) {
+  options.loader = [](const std::string& path, serve::LoadedModel* out) {
     auto reloaded = core::Vsan::Load(path);
     if (!reloaded.ok()) return reloaded.status();
     std::unique_ptr<core::Vsan> fresh = std::move(reloaded).value();
-    if (precision == "bf16") fresh->set_eval_precision(MatMulPrecision::kBf16);
     out->num_items = fresh->num_items();
     out->model =
         std::shared_ptr<const SequentialRecommender>(std::move(fresh));
