@@ -15,7 +15,6 @@
 
 #include "autograd/ops.h"
 #include "nn/attention.h"
-#include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -49,35 +48,6 @@ void BM_MatMul2D(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul2D)->ArgsProduct({{32, 64, 128, 256}, ThreadCounts()});
 
-// Sweeps the GemmBlockSizes tuning struct on the single-thread 256^3 GEMM;
-// results are bitwise-identical across configs (tests/gemm_blocked_test.cc),
-// only the time changes.  Args are (mc, nc, kc).
-void BM_MatMul2DBlockSweep(benchmark::State& state) {
-  ThreadPool::SetGlobalNumThreads(1);
-  const GemmBlockSizes previous = GetGemmBlockSizes();
-  GemmBlockSizes bs;
-  bs.mc = state.range(0);
-  bs.nc = state.range(1);
-  bs.kc = state.range(2);
-  SetGemmBlockSizes(bs);
-  Rng rng(1);
-  const int64_t n = 256;
-  Tensor a = Tensor::RandomNormal({n, n}, &rng);
-  Tensor b = Tensor::RandomNormal({n, n}, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MatMul2D(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-  SetGemmBlockSizes(previous);
-}
-BENCHMARK(BM_MatMul2DBlockSweep)
-    ->Args({24, 256, 128})
-    ->Args({48, 128, 128})
-    ->Args({48, 256, 256})
-    ->Args({96, 256, 256})
-    ->Args({48, 512, 512})
-    ->Args({192, 512, 256});
-
 void BM_MatMul2DTransposed(benchmark::State& state) {
   const int64_t n = state.range(0);
   UseThreads(state, 1);
@@ -104,8 +74,8 @@ void BM_BatchedMatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedMatMul)->ArgsProduct({{16, 32, 64}, ThreadCounts()});
 
-// Real model shapes (the autotuner's sweep set): ScoreBatch's item-matrix
-// product, the training logits projection, and the attention score block.
+// Real model shapes: ScoreBatch's item-matrix product, the training logits
+// projection, and the attention score block.
 // Args are (m, n, k).
 void BM_GemmModelShape(benchmark::State& state) {
   ThreadPool::SetGlobalNumThreads(1);

@@ -22,10 +22,10 @@ cmake -B build-asan-ubsan -G Ninja -DVSAN_ASAN=ON -DVSAN_UBSAN=ON
 cmake --build build-asan-ubsan
 ctest --test-dir build-asan-ubsan 2>&1 | tee test_output_asan_ubsan.txt
 
-# Concurrency suites under TSan (a separate build: TSan excludes ASan).
+# Whole-suite ThreadSanitizer pass (a separate build: TSan excludes ASan).
 cmake -B build-tsan -G Ninja -DVSAN_TSAN=ON
 cmake --build build-tsan
-ctest --test-dir build-tsan -L tsan 2>&1 | tee test_output_tsan.txt
+ctest --test-dir build-tsan 2>&1 | tee test_output_tsan.txt
 
 # Crash-safety sweep: the fault-labeled tests in the plain build, for the
 # kill-and-resume subprocess scenarios.
@@ -40,33 +40,23 @@ ctest --test-dir build -L retrieval 2>&1 | tee test_output_retrieval.txt
 # Live observability plane by label: Prometheus writer/parser, the embedded
 # HTTP metrics server (routes, malformed requests, concurrent scrapers
 # during a live training run), and the sampling profiler.  (Also in the
-# full and sanitizer runs above; the server suite carries the tsan label so
-# the TSan sweep covers the accept/handler threads.)
+# full and sanitizer runs above.)
 ctest --test-dir build -L http 2>&1 | tee test_output_http.txt
 
 # Serving plane by label: cache/batcher semantics, batched-encode bitwise
 # equality, serve-vs-offline oracle equality, and the HTTP daemon lifecycle
-# (readiness gate, 429 shedding, graceful drain) — plain build plus an
-# explicit TSan pass, since the batcher's cv/promise handoffs and the
-# daemon's shutdown ordering are exactly the code worth re-racing.  (Also
-# in the full and sanitizer runs above.)
+# (readiness gate, 429 shedding, graceful drain).  (Also in the full and
+# sanitizer runs above.)
 ctest --test-dir build -L serve 2>&1 | tee test_output_serve.txt
-ctest --test-dir build-tsan -L serve 2>&1 | tee test_output_serve_tsan.txt
 
 # Chaos sweep by label: the VSAN_FAULT serve directives driven through the
 # real daemon — encoder stalls vs request deadlines (504), mid-response
 # socket resets, corrupt-checkpoint hot reloads (409, old generation keeps
 # serving), cache-write loss, the malformed-body fuzz matrix, and hot
-# reload under concurrent load.  Plain build plus an explicit TSan pass
-# (reload/shutdown vs in-flight traffic races); the ASan+UBSan run above
-# covers the fuzz matrix's walk over the JSON parser's depth cap and every
-# truncation point.
+# reload under concurrent load.  The TSan run above re-races reload and
+# shutdown against in-flight traffic; the ASan+UBSan run covers the fuzz
+# matrix's walk over the JSON parser's depth cap and every truncation point.
 ctest --test-dir build -L chaos 2>&1 | tee test_output_chaos.txt
-ctest --test-dir build-tsan -L chaos 2>&1 | tee test_output_chaos_tsan.txt
-
-# Autotuner by label: VSANTUNE1 corruption rejection and tuned-block
-# bitwise equivalence.  (Also in the full and sanitizer runs above.)
-ctest --test-dir build -L autotune 2>&1 | tee test_output_autotune.txt
 
 (
   cd build/bench
@@ -88,7 +78,5 @@ VSAN_BENCH_TOLERANCE="${VSAN_BENCH_TOLERANCE:-0.35}" \
   tools/run_bench.sh --gate build 2>&1 | tee bench_gate.txt
 
 echo "done: test_output.txt," \
-     "test_output_{asan_ubsan,tsan,fault,retrieval,autotune,http}.txt," \
-     "test_output_serve{,_tsan}.txt," \
-     "test_output_chaos{,_tsan}.txt," \
+     "test_output_{asan_ubsan,tsan,fault,retrieval,http,serve,chaos}.txt," \
      "bench_output.txt, bench_gate.txt, build/bench/*.csv"

@@ -26,9 +26,9 @@
 //   RequestBatcher  fold-in histories -> encoded states, one
 //                   EncodeBatchInto forward per flush.
 //   ScoreBatcher    encoded states -> top-k candidates, one M=batch GEMM
-//                   over the factorized head per flush (this is where the
-//                   single-core throughput win lives: the head panels are
-//                   packed once per batch instead of once per request).
+//                   over the factorized head per flush (the head panels
+//                   are packed once per batch instead of once per
+//                   request).
 //
 // Both stages sit on the same queue machinery (BatchQueue): callers enqueue
 // a stack-owned job and block on a future; a single flush thread wakes when

@@ -1,13 +1,11 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "obs/trace.h"
-#include "tensor/autotune.h"
 #include "tensor/gemm_microkernel.h"
 #include "util/thread_pool.h"
 
@@ -23,46 +21,24 @@ using internal::kMicroN;
 constexpr int64_t kParallelGrainFlops = 1 << 14;
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
-int64_t RoundUp(int64_t a, int64_t b) { return CeilDiv(a, b) * b; }
 
-GemmBlockSizes Sanitize(GemmBlockSizes bs) {
-  bs.mc = RoundUp(std::max<int64_t>(1, bs.mc), kMicroM);
-  bs.nc = RoundUp(std::max<int64_t>(1, bs.nc), kMicroN);
-  bs.kc = std::max<int64_t>(1, bs.kc);
-  return bs;
-}
-
-// Active block sizes, one relaxed atomic per field so the lazy
-// VSAN_AUTOTUNE sweep can publish its result while other threads may be
-// mid-Gemm: no torn reads, and in-flight kernels keep the copy they loaded
-// at entry.  The three fields are independent knobs — a reader mixing an
-// old mc with a new nc still gets a valid (merely transitional)
-// configuration, and results never depend on block sizes anyway.
-struct AtomicBlockSizes {
-  std::atomic<int64_t> mc;
-  std::atomic<int64_t> nc;
-  std::atomic<int64_t> kc;
-};
-AtomicBlockSizes g_block_sizes = {
-    {Sanitize(GemmBlockSizes{}).mc},
-    {Sanitize(GemmBlockSizes{}).nc},
-    {Sanitize(GemmBlockSizes{}).kc},
-};
-
-GemmBlockSizes LoadBlockSizes() {
-  GemmBlockSizes bs;
-  bs.mc = g_block_sizes.mc.load(std::memory_order_relaxed);
-  bs.nc = g_block_sizes.nc.load(std::memory_order_relaxed);
-  bs.kc = g_block_sizes.kc.load(std::memory_order_relaxed);
-  return bs;
-}
+// Cache blocking, fixed at compile time (docs/ARCHITECTURE.md §12):
+//   kMc: rows of the packed A block (L2-resident).
+//   kNc: columns of the packed B panel.
+//   kKc: depth of both packs (one B strip of kKc * kMicroN floats fits in
+//        L1 next to an A strip of kKc * kMicroM).
+constexpr int64_t kMc = 48;
+constexpr int64_t kNc = 256;
+constexpr int64_t kKc = 256;
+static_assert(kMc % kMicroM == 0 && kNc % kMicroN == 0,
+              "GEMM blocks must be whole micro-tiles");
 
 // ParallelFor grain in units of M blocks: a block is the atomic unit of
 // scheduling, so shard boundaries always fall between packed blocks and can
 // never split a micro-kernel tile.
-int64_t GemmBlockGrain(int64_t mc, int64_t n, int64_t k) {
+int64_t GemmBlockGrain(int64_t n, int64_t k) {
   const int64_t flops_per_block =
-      std::max<int64_t>(1, mc * std::max<int64_t>(1, n * k));
+      std::max<int64_t>(1, kMc * std::max<int64_t>(1, n * k));
   return std::max<int64_t>(1, kParallelGrainFlops / flops_per_block);
 }
 
@@ -70,8 +46,8 @@ int64_t GemmBlockGrain(int64_t mc, int64_t n, int64_t k) {
 // own A block and B panel, so shards share nothing but the read-only
 // operands and their disjoint rows of C.
 struct PackBuffers {
-  std::vector<float> a;  // mc x kc, kMicroM-row strips
-  std::vector<float> b;  // kc x nc, kMicroN-column strips
+  std::vector<float> a;  // kMc x kKc, kMicroM-row strips
+  std::vector<float> b;  // kKc x kNc, kMicroN-column strips
 };
 thread_local PackBuffers t_pack;
 
@@ -138,22 +114,21 @@ void PackB(const float* b, int64_t k, int64_t n, bool trans_b, int64_t pc,
 // is the reference chain no matter how blocks are sharded.
 void GemmBlockRange(const float* a, const float* b, float* c, int64_t m,
                     int64_t n, int64_t k, bool trans_a, bool trans_b,
-                    int64_t ldc, const GemmBlockSizes& bs, int64_t mblk0,
-                    int64_t mblk1) {
+                    int64_t ldc, int64_t mblk0, int64_t mblk1) {
   PackBuffers& buf = t_pack;
-  buf.a.resize(static_cast<size_t>(bs.mc * bs.kc));
-  buf.b.resize(static_cast<size_t>(bs.kc * bs.nc));
-  for (int64_t jc = 0; jc < n; jc += bs.nc) {
-    const int64_t nb = std::min<int64_t>(bs.nc, n - jc);
-    for (int64_t pc = 0; pc < k; pc += bs.kc) {
-      const int64_t kb = std::min<int64_t>(bs.kc, k - pc);
+  buf.a.resize(static_cast<size_t>(kMc * kKc));
+  buf.b.resize(static_cast<size_t>(kKc * kNc));
+  for (int64_t jc = 0; jc < n; jc += kNc) {
+    const int64_t nb = std::min<int64_t>(kNc, n - jc);
+    for (int64_t pc = 0; pc < k; pc += kKc) {
+      const int64_t kb = std::min<int64_t>(kKc, k - pc);
       {
         VSAN_TRACE_SPAN("gemm/pack_b", kKernel);
         PackB(b, k, n, trans_b, pc, jc, kb, nb, buf.b.data());
       }
       for (int64_t blk = mblk0; blk < mblk1; ++blk) {
-        const int64_t ic = blk * bs.mc;
-        const int64_t mb = std::min<int64_t>(bs.mc, m - ic);
+        const int64_t ic = blk * kMc;
+        const int64_t mb = std::min<int64_t>(kMc, m - ic);
         {
           VSAN_TRACE_SPAN("gemm/pack_a", kKernel);
           PackA(a, m, k, trans_a, ic, pc, mb, kb, buf.a.data());
@@ -194,27 +169,14 @@ void GemmBlockRange(const float* a, const float* b, float* c, int64_t m,
 
 }  // namespace
 
-GemmBlockSizes GetGemmBlockSizes() { return LoadBlockSizes(); }
-
-void SetGemmBlockSizes(const GemmBlockSizes& sizes) {
-  const GemmBlockSizes bs = Sanitize(sizes);
-  g_block_sizes.mc.store(bs.mc, std::memory_order_relaxed);
-  g_block_sizes.nc.store(bs.nc, std::memory_order_relaxed);
-  g_block_sizes.kc.store(bs.kc, std::memory_order_relaxed);
-}
-
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
           int64_t k, bool trans_a, bool trans_b) {
   if (m <= 0 || n <= 0 || k <= 0) return;  // C += 0
-  autotune::EnsureGemmTuningFromEnv();
   VSAN_TRACE_SPAN("gemm/gemm", kKernel);
-  const GemmBlockSizes bs = LoadBlockSizes();
-  const int64_t mblocks = CeilDiv(m, bs.mc);
-  ParallelFor(0, mblocks, GemmBlockGrain(bs.mc, n, k),
-              [&](int64_t b0, int64_t b1) {
-                GemmBlockRange(a, b, c, m, n, k, trans_a, trans_b, n, bs, b0,
-                               b1);
-              });
+  const int64_t mblocks = CeilDiv(m, kMc);
+  ParallelFor(0, mblocks, GemmBlockGrain(n, k), [&](int64_t b0, int64_t b1) {
+    GemmBlockRange(a, b, c, m, n, k, trans_a, trans_b, n, b0, b1);
+  });
 }
 
 void BatchedGemm(const float* a, const float* b, float* c, int64_t batch,
@@ -222,12 +184,10 @@ void BatchedGemm(const float* a, const float* b, float* c, int64_t batch,
                  int64_t m, int64_t n, int64_t k, bool trans_a,
                  bool trans_b) {
   if (batch <= 0 || m <= 0 || n <= 0 || k <= 0) return;
-  autotune::EnsureGemmTuningFromEnv();
   VSAN_TRACE_SPAN("gemm/batched_gemm", kKernel);
-  const GemmBlockSizes bs = LoadBlockSizes();
-  const int64_t mblocks = CeilDiv(m, bs.mc);
+  const int64_t mblocks = CeilDiv(m, kMc);
   ParallelFor(
-      0, batch * mblocks, GemmBlockGrain(bs.mc, n, k),
+      0, batch * mblocks, GemmBlockGrain(n, k),
       [&](int64_t f0, int64_t f1) {
         for (int64_t f = f0; f < f1;) {
           const int64_t bi = f / mblocks;
@@ -235,8 +195,8 @@ void BatchedGemm(const float* a, const float* b, float* c, int64_t batch,
           const int64_t blk1 =
               std::min<int64_t>(mblocks, blk0 + (f1 - f));
           GemmBlockRange(a + bi * a_stride, b + bi * b_stride,
-                         c + bi * c_stride, m, n, k, trans_a, trans_b, n, bs,
-                         blk0, blk1);
+                         c + bi * c_stride, m, n, k, trans_a, trans_b, n, blk0,
+                         blk1);
           f += blk1 - blk0;
         }
       });

@@ -17,38 +17,16 @@
 // Work is distributed over the global ThreadPool in units of whole M
 // blocks, so a shard boundary can never split a micro-tile.
 //
+// The block sizes are compile-time constants in gemm.cc (see
+// docs/ARCHITECTURE.md §12 for why they are fixed).
+//
 // Determinism: every element of C receives its k contributions in ascending
 // p order starting from the value already in C, regardless of thread count
-// or block sizes.  Results are therefore bitwise-identical to ReferenceGemm
+// or blocking.  Results are therefore bitwise-identical to ReferenceGemm
 // below (locked down by tests/gemm_blocked_test.cc) and across thread
 // counts {1, 2, 4, ...} (tests/parallel_equivalence_test.cc).
 
 namespace vsan {
-
-// Cache-blocking parameters, tunable at runtime so benchmarks can sweep
-// them (see BM_MatMul2DBlockSweep in bench_micro_ops.cc).
-//   mc: rows of the packed A block (L2-resident; rounded up to kMicroM).
-//   nc: columns of the packed B panel (rounded up to kMicroN).
-//   kc: depth of both packs (one B strip of kc * kMicroN floats should fit
-//       comfortably in L1 next to an A strip of kc * kMicroM).
-struct GemmBlockSizes {
-  int64_t mc = 48;
-  int64_t nc = 256;
-  int64_t kc = 256;
-};
-
-// Returns the active block sizes (already rounded/clamped).
-GemmBlockSizes GetGemmBlockSizes();
-
-// Replaces the active block sizes; values are clamped to >= 1 and mc/nc are
-// rounded up to micro-tile multiples.  The three fields are stored as
-// relaxed atomics, so this may be called while kernels are in flight (the
-// lazy VSAN_AUTOTUNE sweep applies its result exactly this way): each
-// Gemm call copies the sizes once at entry, so an in-flight call finishes
-// with the configuration it started with and the next call picks up the
-// new one.  Changing block sizes never changes results (see the
-// determinism note above).
-void SetGemmBlockSizes(const GemmBlockSizes& sizes);
 
 // C += op(A) * op(B), parallelized over M blocks on the global pool.
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,

@@ -28,15 +28,14 @@
 // evaluator ranking, and it is why this loop must never be rewritten as a
 // vectorized (reassociated) reduction.
 //
-// These kernels are deliberately exempt from the GEMM block-size autotuner
-// (tensor/autotune.h).  The mc/nc/kc tiling exists to keep *packed,
-// reused* panels resident across a three-deep loop nest; the retrieval
-// scan is the opposite shape of problem: one query vector (d floats, lives
-// in L1 for the whole scan) streamed against each item row exactly once.
-// There is no packing stage and no reuse to tile for — the scan is
-// memory-bandwidth-bound on the item matrix, which is why the int8 path
-// wins by shrinking bytes-per-row 4x, not by reordering loops.  Tuned
-// block sizes therefore have nothing here to apply to.
+// These kernels have no cache blocking.  The GEMM's mc/nc/kc tiling
+// (tensor/gemm.cc) exists to keep *packed, reused* panels resident across a
+// three-deep loop nest; the retrieval scan is the opposite shape of
+// problem: one query vector (d floats, lives in L1 for the whole scan)
+// streamed against each item row exactly once.  There is no packing stage
+// and no reuse to tile for — the scan is memory-bandwidth-bound on the item
+// matrix, which is why the int8 path wins by shrinking bytes-per-row 4x,
+// not by reordering loops.
 
 namespace vsan {
 namespace internal {

@@ -11,35 +11,11 @@
 // Library code does not use exceptions; programmer errors (shape mismatches,
 // invalid arguments, broken invariants) terminate through VSAN_CHECK so that
 // failures are loud and carry a source location.
-//
-// Runtime filtering: the environment variable VSAN_MIN_LOG_LEVEL
-// ("info" | "warning" | "error" | "fatal", or 0-3) suppresses lines below
-// the given severity without recompiling — benchmarks set it to "error" to
-// keep INFO chatter out of timed regions.  FATAL is never suppressed.
-// SetMinLogSeverity() overrides the environment at runtime (tests).
 
 namespace vsan {
 namespace internal {
 
 enum class LogSeverity { kInfo, kWarning, kError, kFatal };
-
-// Whether `severity` is at or above the configured minimum (from
-// VSAN_MIN_LOG_LEVEL via util/env.h, cached on first use).  Out-of-line in
-// logging.cc; the kFatal short-circuit keeps CHECK failure paths
-// filter-free.
-bool LogSeverityAtLeastMin(LogSeverity severity);
-
-inline bool LogSeverityEnabled(LogSeverity severity) {
-  return severity == LogSeverity::kFatal || LogSeverityAtLeastMin(severity);
-}
-
-// Swallows a discarded log statement's stream expression in the suppressed
-// branch of the VSAN_LOG_* ternary (the glog LogMessageVoidify idiom: '&'
-// binds looser than '<<' but tighter than '?:').
-class LogMessageVoidify {
- public:
-  void operator&(std::ostream&) {}
-};
 
 // Accumulates one log line and emits it (with severity prefix) on
 // destruction.  FATAL messages abort the process.
@@ -87,34 +63,13 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
-// Swallows the streamed expression when a log statement is disabled.
-class NullStream {
- public:
-  template <typename T>
-  NullStream& operator<<(const T&) {
-    return *this;
-  }
-};
-
 }  // namespace internal
-
-// Runtime log filtering (see the file comment).  The initial minimum comes
-// from VSAN_MIN_LOG_LEVEL on first log statement; SetMinLogSeverity takes
-// precedence once called.
-void SetMinLogSeverity(internal::LogSeverity severity);
-internal::LogSeverity MinLogSeverity();
-
 }  // namespace vsan
 
-// Each VSAN_LOG_* is a single expression statement: when the severity is
-// filtered out the right arm (message construction and every streamed
-// operand) is never evaluated.
-#define VSAN_LOG_SEVERITY(severity)                                     \
-  !::vsan::internal::LogSeverityEnabled(severity)                       \
-      ? (void)0                                                         \
-      : ::vsan::internal::LogMessageVoidify() &                         \
-            ::vsan::internal::LogMessage(severity, __FILE__, __LINE__)  \
-                .stream()
+// Each VSAN_LOG_* is a single expression statement; the temporary
+// LogMessage emits the line at the end of the full expression.
+#define VSAN_LOG_SEVERITY(severity) \
+  ::vsan::internal::LogMessage(severity, __FILE__, __LINE__).stream()
 
 #define VSAN_LOG_INFO VSAN_LOG_SEVERITY(::vsan::internal::LogSeverity::kInfo)
 #define VSAN_LOG_WARNING \

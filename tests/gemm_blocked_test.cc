@@ -3,8 +3,8 @@
 // (ReferenceGemm).  The kernel's contract is stronger than "numerically
 // close": because every output element accumulates its k contributions in
 // ascending p order starting from the existing C value — regardless of
-// transpose flags, thread count, or block sizes — the blocked result must
-// be bitwise-identical to the reference on every shape tested here.
+// transpose flags, thread count, or blocking — the blocked result must be
+// bitwise-identical to the reference on every shape tested here.
 
 #include <cstring>
 #include <vector>
@@ -24,15 +24,18 @@ struct Shape {
 };
 
 // Tiny, odd and prime extents: every combination of full tiles, partial
-// edge tiles, single-element matrices and multi-block M ranges.
-const Shape kShapes[] = {{1, 1, 1}, {3, 5, 7}, {17, 31, 13}, {129, 65, 33}};
+// edge tiles, single-element matrices and multi-block M ranges.  The last
+// shape crosses every block boundary of the production blocking
+// (mc=48, kc=256, nc=256): 3 M blocks, 2 K slabs (C reloaded between
+// them), 3 N panels, and edge tiles on every side.
+const Shape kShapes[] = {
+    {1, 1, 1}, {3, 5, 7}, {17, 31, 13}, {129, 65, 33}, {97, 300, 530}};
 const int kThreadCounts[] = {1, 2, 4};
 
 class GemmBlockedTest : public ::testing::Test {
  protected:
   void TearDown() override {
     ThreadPool::SetGlobalNumThreads(ThreadPool::DefaultNumThreads());
-    SetGemmBlockSizes(GemmBlockSizes{});
   }
 };
 
@@ -108,45 +111,6 @@ TEST_F(GemmBlockedTest, AccumulateFromNonZeroOutputBitwise) {
       }
     }
   }
-}
-
-TEST_F(GemmBlockedTest, BlockSizesNeverChangeResults) {
-  // Sweeping the tuning struct — including degenerate single-tile blocks
-  // and values that need rounding up to micro-tile multiples — must not
-  // change a single bit, because K blocking reloads C between K blocks and
-  // M/N blocking never splits an element's accumulation chain.
-  const Shape s{129, 65, 33};
-  Rng rng(321);
-  Tensor a, b;
-  MakeOperands(s, /*trans_a=*/false, /*trans_b=*/true, &rng, &a, &b);
-  const Tensor ref = RunReference(a, b, s, false, true);
-  const GemmBlockSizes configs[] = {
-      {6, 16, 1}, {6, 16, 8}, {7, 18, 5}, {48, 32, 16}, {600, 600, 600}};
-  for (const GemmBlockSizes& bs : configs) {
-    SetGemmBlockSizes(bs);
-    for (int threads : kThreadCounts) {
-      ThreadPool::SetGlobalNumThreads(threads);
-      const Tensor got = MatMul2D(a, b, false, true);
-      EXPECT_TRUE(BitwiseEqual(ref, got))
-          << "mc=" << bs.mc << " nc=" << bs.nc << " kc=" << bs.kc
-          << " threads=" << threads;
-    }
-  }
-}
-
-TEST_F(GemmBlockedTest, SetGemmBlockSizesRoundsUpToMicroTiles) {
-  SetGemmBlockSizes({7, 18, 5});
-  const GemmBlockSizes bs = GetGemmBlockSizes();
-  EXPECT_EQ(bs.mc % 6, 0);
-  EXPECT_EQ(bs.nc % 16, 0);
-  EXPECT_GE(bs.mc, 7);
-  EXPECT_GE(bs.nc, 18);
-  EXPECT_EQ(bs.kc, 5);
-  SetGemmBlockSizes({0, -3, 0});
-  const GemmBlockSizes clamped = GetGemmBlockSizes();
-  EXPECT_GE(clamped.mc, 1);
-  EXPECT_GE(clamped.nc, 1);
-  EXPECT_GE(clamped.kc, 1);
 }
 
 TEST_F(GemmBlockedTest, BatchedMatMulBitwiseMatchesPerBatchReference) {

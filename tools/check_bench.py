@@ -3,9 +3,9 @@
 
   check_bench.py BASELINE FRESH [--tolerance=0.15] [--metric=ns_per_iter]
 
-Records are matched by identity key (op, shape, threads, pool, blocks,
-and — for the serving-daemon records of BENCH_serve.json — model, policy,
-cache, workers; whichever are present in the baseline record); a
+Records are matched by identity key (op, shape, threads, pool, and — for
+the serving-daemon records of BENCH_serve.json — model, policy, cache,
+workers; whichever are present in the baseline record); a
 fresh record's `ns_per_iter` more than `tolerance` above its baseline twin
 is a regression.  Serve records carry ns_per_iter = 1e9 / qps, so the same
 time-per-unit gate direction applies (higher = slower).  Exit status:
@@ -26,8 +26,8 @@ import json
 import os
 import sys
 
-KEY_FIELDS = ("op", "shape", "threads", "pool", "blocks", "model", "policy",
-              "cache", "workers")
+KEY_FIELDS = ("op", "shape", "threads", "pool", "model", "policy", "cache",
+              "workers")
 
 
 def record_key(rec):

@@ -1,17 +1,12 @@
 #!/usr/bin/env python3
-"""Distills google-benchmark JSON into the repo's checked-in BENCH files.
+"""Distills google-benchmark JSON into the repo's checked-in BENCH_micro.json.
 
-Two modes, both invoked by tools/run_bench.sh:
+Invoked by tools/run_bench.sh:
 
   distill_bench.py OPS_JSON TRAIN_JSON POOLOFF_JSON OUT
       The full micro sweep -> BENCH_micro.json.  POOLOFF_JSON is the
       VSAN_POOL=0 rerun of the allocation-churn probe; its records are
       tagged pool=off so both pool modes sit side by side.
-
-  distill_bench.py --autotune DEFAULT_JSON TUNED_JSON OUT
-      The GEMM-family A/B against tools/autotune's winner ->
-      BENCH_autotune.json.  Records from the first file are tagged
-      blocks=default, from the second blocks=tuned.
 
 One record per benchmark with op, shape, threads, ns/iter, and GFLOP/s for
 the GEMM family (items_processed counts multiply-adds, FLOPs = 2 * items).
@@ -32,8 +27,8 @@ THREADED = {
 # GEMM-family benchmarks: items_processed counts multiply-adds, so
 # FLOPs/s = 2 * items/s.
 GEMM_OPS = {
-    "BM_MatMul2D", "BM_MatMul2DTransposed", "BM_MatMul2DBlockSweep",
-    "BM_BatchedMatMul", "BM_GemmModelShape",
+    "BM_MatMul2D", "BM_MatMul2DTransposed", "BM_BatchedMatMul",
+    "BM_GemmModelShape",
 }
 # Names ScoreBatch/logits/attention shapes in BM_GemmModelShape's args, in
 # registration order (bench/bench_micro_ops.cc).
@@ -53,9 +48,6 @@ def parse_record(b):
     if op in THREADED and args:
         threads = int(args[-1])
         shape = "x".join(args[:-1]) or "-"
-    elif op == "BM_MatMul2DBlockSweep":
-        threads = 1
-        shape = "256x256x256 mc={} nc={} kc={}".format(*args)
     elif op == "BM_GemmModelShape":
         # Args are (m, n, k); name the known model shapes.
         threads = 1
@@ -114,23 +106,6 @@ def distill_micro(ops_path, train_path, pooloff_path, out_path):
     write_out(out_path, context, records)
 
 
-def distill_autotune(default_path, tuned_path, out_path):
-    records = []
-    context = None
-    for path, blocks in ((default_path, "default"), (tuned_path, "tuned")):
-        with open(path) as f:
-            data = json.load(f)
-        if context is None:
-            context = make_context(data)
-        for b in data.get("benchmarks", []):
-            rec = parse_record(b)
-            if rec is None:
-                continue
-            rec["blocks"] = blocks
-            records.append(rec)
-    write_out(out_path, context, records)
-
-
 def write_out(out_path, context, records):
     with open(out_path, "w") as f:
         json.dump({"context": context, "benchmarks": records}, f, indent=1)
@@ -139,9 +114,7 @@ def write_out(out_path, context, records):
 
 
 def main(argv):
-    if len(argv) == 5 and argv[1] == "--autotune":
-        distill_autotune(argv[2], argv[3], argv[4])
-    elif len(argv) == 5:
+    if len(argv) == 5:
         distill_micro(argv[1], argv[2], argv[3], argv[4])
     else:
         sys.stderr.write(__doc__)

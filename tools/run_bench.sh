@@ -10,7 +10,6 @@
 #   tools/run_bench.sh [build_dir] [benchmark_filter]
 #   tools/run_bench.sh --trace [build_dir]
 #   tools/run_bench.sh --retrieval [build_dir]
-#   tools/run_bench.sh --autotune [build_dir]
 #   tools/run_bench.sh --serve [build_dir]
 #   tools/run_bench.sh --gate [build_dir] [benchmark_filter]
 #
@@ -20,12 +19,6 @@
 # carries extra overhead.  Set VSAN_REQUIRE_RELEASE_BENCH=1 to make that a
 # hard failure, or configure with -DVSAN_BENCHMARK_SOURCE_DIR=<checkout> to
 # build the library Release in-tree.
-#
-# --autotune: A/B the GEMM family against tools/autotune's winner.  Runs
-# the offline tuner (budget VSAN_AUTOTUNE_BUDGET_MS, default 15000 ms),
-# then runs the GEMM benchmarks once with default block sizes and once
-# with the tuned config applied via VSAN_TUNE_CONFIG, landing both in
-# BENCH_autotune.json with records tagged blocks=default|tuned.
 #
 # Compare the emitted file against a checked-in BENCH_micro.json from before
 # a kernel change to spot regressions; the 256^3 single-thread MatMul2D row
@@ -279,29 +272,6 @@ print(json.load(open(sys.argv[1]))["context"].get("library_build_type", "unknown
     fi
   fi
 }
-
-if [[ "${1:-}" == "--autotune" ]]; then
-  BUILD_DIR="${2:-$REPO_ROOT/build}"
-  OUT="$REPO_ROOT/BENCH_autotune.json"
-  cmake -S "$REPO_ROOT" -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_micro_ops autotune
-  TUNE_CONFIG="$(mktemp --suffix=.vsantune)"
-  DEFAULT_JSON="$(mktemp)"
-  TUNED_JSON="$(mktemp)"
-  trap 'rm -f "$TUNE_CONFIG" "$DEFAULT_JSON" "$TUNED_JSON"' EXIT
-  "$BUILD_DIR/tools/autotune" --out="$TUNE_CONFIG" \
-    --budget-ms="${VSAN_AUTOTUNE_BUDGET_MS:-15000}" --apply-check
-  GEMM_FILTER='BM_MatMul2D|BM_BatchedMatMul|BM_GemmModelShape'
-  "$BUILD_DIR/bench/bench_micro_ops" --benchmark_format=json \
-    --benchmark_filter="$GEMM_FILTER" > "$DEFAULT_JSON"
-  check_bench_library "$DEFAULT_JSON"
-  VSAN_TUNE_CONFIG="$TUNE_CONFIG" "$BUILD_DIR/bench/bench_micro_ops" \
-    --benchmark_format=json \
-    --benchmark_filter="$GEMM_FILTER" > "$TUNED_JSON"
-  python3 "$REPO_ROOT/tools/distill_bench.py" --autotune \
-    "$DEFAULT_JSON" "$TUNED_JSON" "$OUT"
-  exit 0
-fi
 
 GATE=0
 if [[ "${1:-}" == "--gate" ]]; then

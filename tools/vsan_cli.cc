@@ -31,7 +31,6 @@
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "tensor/autotune.h"
 #include "util/flags.h"
 #include "util/string_util.h"
 
@@ -58,10 +57,7 @@ int Usage() {
       "             [--retrieval=exact|quantized|ivf] [--clusters=0]\n"
       "             [--nprobe=8] [--metrics-port=9108]\n"
       "  recommend  --load=ckpt --history=1,2,3 [--topn=10]\n"
-      "  inspect    --load=ckpt --history=1,2,3\n"
-      "global flags:\n"
-      "  --tune-config=path   apply a VSANTUNE1 GEMM config (tools/autotune;\n"
-      "                       env: VSAN_TUNE_CONFIG, sweep: VSAN_AUTOTUNE=1)\n";
+      "  inspect    --load=ckpt --history=1,2,3\n";
   return 2;
 }
 
@@ -430,14 +426,6 @@ int Inspect(const FlagParser& flags) {
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   if (flags.positional().empty()) return Usage();
-  const std::string tune_config = flags.GetString("tune-config");
-  if (!tune_config.empty()) {
-    const Status s = autotune::ApplyTuneConfig(tune_config);
-    if (!s.ok()) {
-      std::cerr << "error: --tune-config: " << s.ToString() << "\n";
-      return 1;
-    }
-  }
   const std::string command = flags.positional()[0];
   if (command == "train") return Train(flags);
   if (command == "evaluate") return Evaluate(flags);
